@@ -7,10 +7,6 @@
 #include "core/crosswalk_plan.h"
 #include "core/geoalign.h"
 
-namespace geoalign::common {
-class ThreadPool;
-}
-
 namespace geoalign::core {
 
 /// Realigns MANY objective attributes over one shared reference set —
@@ -59,10 +55,11 @@ class BatchCrosswalk {
   };
 
   /// Realigns every objective; results are index-aligned with input.
-  /// With `options.threads` != 1 the independent objectives run
-  /// concurrently on a pool (the paper-§6 portal shape: every column
-  /// of every table realigned at once); outputs are bit-identical to
-  /// the sequential order for any thread count.
+  /// With `options.threads` != 1 a pool serves the objectives through
+  /// CrosswalkPlan::ExecuteMany (the paper-§6 portal shape: every
+  /// column of every table realigned at once); outputs are
+  /// bit-identical to the sequential order for any thread count, and
+  /// a wrong-length objective fails with its own status.
   Result<std::vector<BatchResult>> Run(
       const std::vector<Objective>& objectives) const;
 
@@ -75,14 +72,6 @@ class BatchCrosswalk {
 
  private:
   explicit BatchCrosswalk(CrosswalkPlan plan);
-
-  /// Realigns one objective; `pool` parallelizes the sparse kernels
-  /// inside this single crosswalk (null = inline). `workspace` is the
-  /// reusable per-slot buffer arena, sized once from the plan-compiled
-  /// workspace spec.
-  Result<BatchResult> RunOne(const Objective& objective,
-                             common::ThreadPool* pool,
-                             ExecuteWorkspace* workspace) const;
 
   CrosswalkPlan plan_;
 };

@@ -1,8 +1,10 @@
 #include "core/crosswalk_plan.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "common/float_eq.h"
@@ -11,6 +13,8 @@
 #include "linalg/qr.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/request_context.h"
+#include "obs/timer.h"
 #include "obs/trace.h"
 #include "sparse/coo_builder.h"
 #include "sparse/sparse_ops.h"
@@ -93,6 +97,25 @@ obs::Gauge& ExecuteIsaGauge() {
   static obs::Gauge& g =
       obs::MetricsRegistry::Global().GetGauge("execute.isa");
   return g;
+}
+
+// Serving-surface telemetry, recorded by ExecuteMany for both
+// CrosswalkPipeline::RealignMany and BatchCrosswalk::Run (the pipeline's
+// single-column Realign shares the keys).
+obs::Histogram& RealignLatencyUs() {
+  static obs::Histogram& h =
+      obs::MetricsRegistry::Global().GetHistogram("realign.latency_us");
+  return h;
+}
+obs::Histogram& ColumnsPerBatch() {
+  static obs::Histogram& h =
+      obs::MetricsRegistry::Global().GetHistogram("realign.columns_per_batch");
+  return h;
+}
+obs::Counter& ColumnsTotal() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::Global().GetCounter("realign.columns_total");
+  return c;
 }
 
 // One per-solver counter so the weight-solve mix is visible per
@@ -607,7 +630,7 @@ void CrosswalkPlan::ExecutePanelWith(
     ExecuteWorkspace* workspace) const {
   if (count == 0) return;
   if (!prepared_.aligned()) {
-    // Serving loops only route aligned plans here; keep the entry
+    // ExecuteMany only routes aligned plans here; keep the entry
     // total by degrading to the per-column lane.
     for (size_t i = 0; i < count; ++i) {
       results[i]->emplace(ExecuteWith(objectives[i], nullptr,
@@ -622,6 +645,87 @@ void CrosswalkPlan::ExecutePanelWith(
     ExecuteOnePanel(objectives + base, results + base,
                     std::min(sparse::simd::kMaxPanelWidth, count - base), ws);
   }
+}
+
+Result<std::vector<CrosswalkResult>> CrosswalkPlan::ExecuteMany(
+    size_t count, const ColumnSource& column_source, common::ThreadPool* pool,
+    ExecuteOutput output) const {
+  obs::EnsureRequestScope ensure_request;
+  // Pool workers have their own (empty) thread-local request context;
+  // every group task re-establishes this token so each span and audit
+  // record of the fan-out stays attributed to the request.
+  const obs::RequestToken request = obs::CurrentRequest();
+  GEOALIGN_TRACE_SPAN("realign.batch");
+  ColumnsPerBatch().Record(static_cast<double>(count));
+  ColumnsTotal().Add(count);
+  if (count == 0) return std::vector<CrosswalkResult>{};
+
+  const bool panels =
+      output == ExecuteOutput::kAggregatesOnly && prepared_.aligned();
+  const size_t width = std::min(panels ? panel_width() : 1, count);
+  const size_t num_groups = (count + width - 1) / width;
+  const bool outer = pool != nullptr && pool->size() > 1 && num_groups > 1;
+  common::ThreadPool* kernel_pool = outer ? nullptr : pool;
+
+  // One slot per concurrently running group: inline groups share slot
+  // 0, pool workers take their worker index + 1, so a workspace never
+  // sees two concurrent executes. `columns` holds resolved columns
+  // whose source has no caller memory to view.
+  struct Slot {
+    ExecuteWorkspace workspace;
+    std::vector<linalg::Vector> columns;
+  };
+  std::vector<Slot> slots(outer ? pool->size() + 1 : 1);
+  const size_t kernel_slots =
+      panels || kernel_pool == nullptr ? 1 : kernel_pool->size() + 1;
+  for (Slot& slot : slots) {
+    slot.workspace.Prepare(workspace_spec_, kernel_slots);
+    if (panels) slot.workspace.PreparePanel(workspace_spec_, width);
+    slot.columns.resize(width);
+  }
+
+  std::vector<std::optional<Result<CrosswalkResult>>> results(count);
+  common::ParallelForChunks(outer ? pool : nullptr, num_groups, [&](size_t g) {
+    obs::RequestScope request_scope(request);
+    obs::Stopwatch group_watch;
+    const size_t wi = common::ThreadPool::CurrentWorkerIndex();
+    Slot& slot =
+        slots[!outer || wi == common::ThreadPool::kNoWorkerIndex ? 0 : wi + 1];
+    std::array<common::ColumnView, sparse::simd::kMaxPanelWidth> views;
+    std::array<std::optional<Result<CrosswalkResult>>*,
+               sparse::simd::kMaxPanelWidth>
+        outs;
+    size_t n = 0;
+    const size_t begin = g * width;
+    for (size_t i = begin; i < std::min(count, begin + width); ++i) {
+      Result<common::ColumnView> column =
+          column_source(i, &slot.columns[i - begin]);
+      if (!column.ok()) {
+        results[i].emplace(column.status());
+        continue;
+      }
+      views[n] = *column;
+      outs[n++] = &results[i];
+    }
+    if (n == 0) return;
+    if (panels) {
+      ExecutePanelWith(views.data(), outs.data(), n, &slot.workspace);
+    } else {
+      outs[0]->emplace(
+          ExecuteWith(views[0], kernel_pool, output, &slot.workspace));
+    }
+    // One sample per group: a panel group serves all its columns in
+    // one traversal (docs/observability.md).
+    RealignLatencyUs().Record(group_watch.ElapsedMicros());
+  });
+
+  std::vector<CrosswalkResult> out;
+  out.reserve(count);
+  for (std::optional<Result<CrosswalkResult>>& r : results) {
+    if (!r->ok()) return r->status();
+    out.push_back(std::move(*r).value());
+  }
+  return out;
 }
 
 void CrosswalkPlan::ExecuteOnePanel(

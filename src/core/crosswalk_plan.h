@@ -2,6 +2,7 @@
 #define GEOALIGN_CORE_CROSSWALK_PLAN_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -108,9 +109,7 @@ class CrosswalkPlan {
                                   ExecuteOutput output) const;
 
   /// Same, running the parallel kernels on a caller-owned pool
-  /// (nullptr = inline). This is the serving-path entry: RealignMany
-  /// and BatchCrosswalk execute one shared plan across their outer
-  /// pool.
+  /// (nullptr = inline).
   Result<CrosswalkResult> ExecuteWith(common::ColumnView objective_source,
                                       common::ThreadPool* pool) const;
 
@@ -141,8 +140,8 @@ class CrosswalkPlan {
   /// `objectives` is an array of `count` borrowed column views and
   /// `results` an array of `count` non-null pointers; `workspace` is
   /// the reusable per-slot arena (nullptr uses a per-call local one).
-  /// Serving loops slice their columns into panels of panel_width()
-  /// and run one call per panel; counts above simd::kMaxPanelWidth are
+  /// ExecuteMany slices its columns into panels of panel_width() and
+  /// runs one call per panel; counts above simd::kMaxPanelWidth are
   /// split internally. Non-aligned prepared sets fall back to
   /// per-column ExecuteWith.
   void ExecutePanelWith(const common::ColumnView* objectives,
@@ -154,10 +153,39 @@ class CrosswalkPlan {
   /// with GEOALIGN_PANEL_WIDTH (clamped to [1, simd::kMaxPanelWidth]).
   /// Deliberately NOT part of the plan or its fingerprint: a PlanCache
   /// entry compiled under one ISA must execute identically under any
-  /// other, so serving layers ask the plan at execute time instead of
-  /// baking a width into cached state (BatchCrosswalk::Run and
-  /// CrosswalkPipeline::RealignMany never take a caller width).
+  /// other, so ExecuteMany asks the plan at execute time instead of
+  /// baking a width into cached state (no serving surface takes a
+  /// caller width).
   size_t panel_width() const;
+
+  /// Supplies column `i` of ExecuteMany: a view of caller memory, or of
+  /// `*scratch` after resolving the column into it (valid until the
+  /// column has executed). An error becomes column i's status.
+  using ColumnSource = std::function<Result<common::ColumnView>(
+      size_t i, linalg::Vector* scratch)>;
+
+  /// Executes `count` objective columns over this one plan — the
+  /// paper-§6 portal shape, and the single many-column entry behind
+  /// CrosswalkPipeline::RealignMany and BatchCrosswalk::Run.
+  ///  - Groups: panel_width() columns per group (one ExecutePanelWith)
+  ///    when the references are aligned and `output` is
+  ///    kAggregatesOnly, else one column per group (ExecuteWith).
+  ///  - Pool: groups run concurrently, kernels inline, when `pool` has
+  ///    more than one worker and there is more than one group;
+  ///    otherwise groups run in order and the pool goes to the
+  ///    kernels (nullptr = fully sequential).
+  ///  - Workspaces: one per concurrently running group, prepared once
+  ///    from workspace_spec(), so steady-state groups grow nothing.
+  ///  - Each group resolves its own columns through `column_source`
+  ///    inside its task (called concurrently for distinct `i`).
+  /// Results are index-aligned with the columns and bit-identical to
+  /// per-column ExecuteWith at every width and thread count; on error
+  /// the lowest-index failing column's status is returned. Records the
+  /// realign.* metrics (docs/observability.md) under a realign.batch
+  /// span, attributed to the caller's request.
+  Result<std::vector<CrosswalkResult>> ExecuteMany(
+      size_t count, const ColumnSource& column_source,
+      common::ThreadPool* pool, ExecuteOutput output) const;
 
   /// Weight learning only (Eq. 15) — β for one objective column.
   Result<linalg::Vector> LearnWeights(

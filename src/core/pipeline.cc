@@ -1,7 +1,5 @@
 #include "core/pipeline.h"
 
-#include <algorithm>
-#include <array>
 #include <memory>
 #include <optional>
 
@@ -10,15 +8,15 @@
 #include "obs/request_context.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
-#include "sparse/simd/panel_kernels.h"
 
 namespace geoalign::core {
 
 namespace {
 
-// Serving-surface telemetry (catalog: docs/observability.md). The
-// registry keys are shared with BatchCrosswalk so "realign.*" counts
-// every realigned column regardless of entry point.
+// Serving-surface telemetry (catalog: docs/observability.md) for
+// Realign and the per-call RealignMany path. The registry keys are
+// shared with CrosswalkPlan::ExecuteMany so "realign.*" counts every
+// realigned column regardless of entry point.
 obs::Histogram& RealignLatencyUs() {
   static obs::Histogram& h =
       obs::MetricsRegistry::Global().GetHistogram("realign.latency_us");
@@ -53,6 +51,29 @@ Result<std::unordered_map<std::string, size_t>> BuildUnitIndex(
   return index;
 }
 
+// The shape check shared by the owning and the view Create.
+template <typename Reference>
+Status ValidateShapes(const std::vector<std::string>& source_units,
+                      const std::vector<std::string>& target_units,
+                      const std::vector<Reference>& references) {
+  if (source_units.empty() || target_units.empty()) {
+    return Status::InvalidArgument("CrosswalkPipeline: empty unit lists");
+  }
+  if (references.empty()) {
+    return Status::InvalidArgument("CrosswalkPipeline: no references");
+  }
+  for (const Reference& ref : references) {
+    if (ref.source_aggregates.size() != source_units.size() ||
+        ref.disaggregation.rows() != source_units.size() ||
+        ref.disaggregation.cols() != target_units.size()) {
+      return Status::InvalidArgument(
+          "CrosswalkPipeline: reference '" + ref.name +
+          "' does not match the unit lists");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 CrosswalkPipeline::CrosswalkPipeline(
@@ -70,21 +91,8 @@ Result<CrosswalkPipeline> CrosswalkPipeline::Create(
     std::vector<std::string> target_units,
     std::vector<ReferenceAttribute> references,
     std::shared_ptr<const Interpolator> method) {
-  if (source_units.empty() || target_units.empty()) {
-    return Status::InvalidArgument("CrosswalkPipeline: empty unit lists");
-  }
-  if (references.empty()) {
-    return Status::InvalidArgument("CrosswalkPipeline: no references");
-  }
-  for (const ReferenceAttribute& ref : references) {
-    if (ref.source_aggregates.size() != source_units.size() ||
-        ref.disaggregation.rows() != source_units.size() ||
-        ref.disaggregation.cols() != target_units.size()) {
-      return Status::InvalidArgument(
-          "CrosswalkPipeline: reference '" + ref.name +
-          "' does not match the unit lists");
-    }
-  }
+  GEOALIGN_RETURN_IF_ERROR(
+      ValidateShapes(source_units, target_units, references));
   if (method == nullptr) {
     method = std::make_shared<GeoAlign>();
   }
@@ -123,21 +131,8 @@ Result<CrosswalkPipeline> CrosswalkPipeline::Create(
     std::vector<std::string> target_units,
     std::vector<ReferenceAttributeView> references,
     std::shared_ptr<const Interpolator> method) {
-  if (source_units.empty() || target_units.empty()) {
-    return Status::InvalidArgument("CrosswalkPipeline: empty unit lists");
-  }
-  if (references.empty()) {
-    return Status::InvalidArgument("CrosswalkPipeline: no references");
-  }
-  for (const ReferenceAttributeView& ref : references) {
-    if (ref.source_aggregates.size() != source_units.size() ||
-        ref.disaggregation.rows() != source_units.size() ||
-        ref.disaggregation.cols() != target_units.size()) {
-      return Status::InvalidArgument(
-          "CrosswalkPipeline: reference '" + ref.name +
-          "' does not match the unit lists");
-    }
-  }
+  GEOALIGN_RETURN_IF_ERROR(
+      ValidateShapes(source_units, target_units, references));
   if (method == nullptr) {
     method = std::make_shared<GeoAlign>();
   }
@@ -209,6 +204,21 @@ Result<CrosswalkResult> CrosswalkPipeline::Realign(
 Result<std::vector<CrosswalkResult>> CrosswalkPipeline::RealignMany(
     const std::vector<Column>& objectives, size_t threads,
     ExecuteOutput output) const {
+  std::unique_ptr<common::ThreadPool> pool =
+      common::MakePoolOrNull(common::ResolveThreadCount(threads));
+  if (plan_ != nullptr) {
+    // Serving path: the plan owns grouping, pool use, workspaces and
+    // telemetry; each column is name-resolved inside its group's task.
+    return plan_->ExecuteMany(
+        objectives.size(),
+        [&](size_t i, linalg::Vector* scratch) -> Result<common::ColumnView> {
+          GEOALIGN_ASSIGN_OR_RETURN(
+              *scratch, ResolveColumn(objectives[i], source_index_));
+          return common::ColumnView(*scratch);
+        },
+        pool.get(), output);
+  }
+
   obs::EnsureRequestScope ensure_request;
   // Pool workers have their own (empty) thread-local request context;
   // each worker lambda below re-establishes this token so every span
@@ -217,132 +227,6 @@ Result<std::vector<CrosswalkResult>> CrosswalkPipeline::RealignMany(
   GEOALIGN_TRACE_SPAN("realign.batch");
   ColumnsPerBatch().Record(static_cast<double>(objectives.size()));
   ColumnsTotal().Add(objectives.size());
-  std::unique_ptr<common::ThreadPool> pool =
-      common::MakePoolOrNull(common::ResolveThreadCount(threads));
-
-  if (plan_ != nullptr && output == ExecuteOutput::kAggregatesOnly &&
-      plan_->references().aligned()) {
-    // Aligned aggregates-only serving path: resolve every column
-    // first, then group the resolved columns into consecutive panels
-    // of plan_->panel_width() — the width is the plan's execute-time
-    // answer (active ISA, GEOALIGN_PANEL_WIDTH), never caller state,
-    // so the PlanCache fingerprint stays ISA-independent. One panel =
-    // one shared-structure traversal serving every lane; outer
-    // parallelism runs across panels and the bits match the
-    // per-column path exactly at every width and thread count.
-    const size_t n = objectives.size();
-    std::vector<std::optional<Result<CrosswalkResult>>> results(n);
-    std::vector<linalg::Vector> resolved(n);
-    std::vector<size_t> valid;
-    valid.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      Result<linalg::Vector> column =
-          ResolveColumn(objectives[i], source_index_);
-      if (!column.ok()) {
-        results[i].emplace(column.status());
-      } else {
-        resolved[i] = std::move(column).value();
-        valid.push_back(i);
-      }
-    }
-    const size_t width = plan_->panel_width();
-    const size_t num_panels = (valid.size() + width - 1) / width;
-    const bool outer_inline =
-        pool == nullptr || pool->size() <= 1 || num_panels <= 1;
-    std::vector<ExecuteWorkspace> bank(outer_inline ? 1 : pool->size() + 1);
-    for (ExecuteWorkspace& ws : bank) {
-      ws.Prepare(plan_->workspace_spec(), /*slots=*/1);
-      ws.PreparePanel(plan_->workspace_spec(),
-                      std::min(width, std::max<size_t>(valid.size(), 1)));
-    }
-    common::ParallelForChunks(pool.get(), num_panels, [&](size_t p) {
-      obs::RequestScope request_scope(request);
-      obs::Stopwatch panel_watch;
-      const size_t begin = p * width;
-      const size_t count = std::min(width, valid.size() - begin);
-      std::array<common::ColumnView, sparse::simd::kMaxPanelWidth> objs;
-      std::array<std::optional<Result<CrosswalkResult>>*,
-                 sparse::simd::kMaxPanelWidth>
-          slots;
-      for (size_t k = 0; k < count; ++k) {
-        objs[k] = common::ColumnView(resolved[valid[begin + k]]);
-        slots[k] = &results[valid[begin + k]];
-      }
-      size_t wi = common::ThreadPool::CurrentWorkerIndex();
-      ExecuteWorkspace& ws =
-          bank[outer_inline || wi == common::ThreadPool::kNoWorkerIndex
-                   ? 0
-                   : wi + 1];
-      plan_->ExecutePanelWith(objs.data(), slots.data(), count, &ws);
-      // One traversal served `count` columns; the latency histogram
-      // records per-panel time here (docs/observability.md).
-      RealignLatencyUs().Record(panel_watch.ElapsedMicros());
-    });
-    std::vector<CrosswalkResult> out;
-    out.reserve(n);
-    for (std::optional<Result<CrosswalkResult>>& r : results) {
-      if (!r->ok()) return r->status();
-      out.push_back(std::move(*r).value());
-    }
-    return out;
-  }
-
-  if (plan_ != nullptr) {
-    // Serving path: every column executes the one shared plan. With an
-    // outer pool the inner kernels run inline (oversubscription
-    // guard); without one, every column shares one inner pool instead
-    // of spinning a pool per call. Either way the deterministic
-    // kernels make the bits independent of the threading shape.
-    std::unique_ptr<common::ThreadPool> inner =
-        pool == nullptr ? common::MakePoolOrNull(common::ResolveThreadCount(
-                              plan_->options().threads))
-                        : nullptr;
-
-    // One reusable workspace per worker slot, sized once from the
-    // plan-compiled spec — steady-state columns grow nothing (the
-    // execute.hot_path_allocs counter stays flat from column 0).
-    const bool outer_inline =
-        pool == nullptr || pool->size() <= 1 || objectives.size() == 1;
-    std::vector<ExecuteWorkspace> bank(outer_inline ? 1 : pool->size() + 1);
-    const size_t fused_slots =
-        inner != nullptr && inner->size() > 1 ? inner->size() + 1 : 1;
-    for (ExecuteWorkspace& ws : bank) {
-      ws.Prepare(plan_->workspace_spec(), fused_slots);
-    }
-
-    std::vector<std::optional<Result<CrosswalkResult>>> results(
-        objectives.size());
-    common::ParallelForChunks(pool.get(), objectives.size(), [&](size_t i) {
-      obs::RequestScope request_scope(request);
-      obs::Stopwatch column_watch;
-      Result<linalg::Vector> column =
-          ResolveColumn(objectives[i], source_index_);
-      if (!column.ok()) {
-        results[i].emplace(column.status());
-        return;
-      }
-      // Inline runs use slot 0; outer-pool workers take their worker
-      // index (one slot per thread, so a workspace never sees two
-      // concurrent executes).
-      size_t wi = common::ThreadPool::CurrentWorkerIndex();
-      ExecuteWorkspace& ws =
-          bank[outer_inline || wi == common::ThreadPool::kNoWorkerIndex
-                   ? 0
-                   : wi + 1];
-      results[i].emplace(plan_->ExecuteWith(std::move(column).value(),
-                                            pool != nullptr ? nullptr
-                                                            : inner.get(),
-                                            output, &ws));
-      RealignLatencyUs().Record(column_watch.ElapsedMicros());
-    });
-    std::vector<CrosswalkResult> out;
-    out.reserve(objectives.size());
-    for (std::optional<Result<CrosswalkResult>>& r : results) {
-      if (!r->ok()) return r->status();
-      out.push_back(std::move(*r).value());
-    }
-    return out;
-  }
 
   // With an outer pool, an interpolator that would itself spawn a pool
   // per crosswalk (GeoAlign with threads != 1) would oversubscribe the

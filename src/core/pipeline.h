@@ -61,18 +61,17 @@ class CrosswalkPipeline {
 
   /// Realigns many independent objective columns concurrently — the
   /// portal shape of the paper's §6: every column of a table realigned
-  /// at once. `threads`: 0 = one per hardware thread, 1 = sequential.
-  /// Results are index-aligned with `objectives` and bit-identical to
-  /// looping over Realign for every thread count; on error the
-  /// lowest-index failing column's status is returned.
+  /// at once. `threads`: 0 = one per hardware thread, 1 = sequential
+  /// (no pool is started). Results are index-aligned with `objectives`
+  /// and bit-identical to looping over Realign for every thread count;
+  /// on error the lowest-index failing column's status is returned.
   ///
   /// `output` selects the result shape: ExecuteOutput::kAggregatesOnly
-  /// serves each column through the fused zero-materialization lane
-  /// (results carry an empty estimated_dm; target_estimates, weights,
-  /// and zero_rows are bit-identical to kFullDm). The compiled plan's
-  /// workspace spec sizes one reusable workspace per worker slot up
-  /// front, so steady-state columns execute without hot-path buffer
-  /// growth.
+  /// drops the DM (results carry an empty estimated_dm;
+  /// target_estimates, weights, and zero_rows are bit-identical to
+  /// kFullDm). With a compiled plan, the columns are served by
+  /// CrosswalkPlan::ExecuteMany, which decides grouping, pool use and
+  /// workspaces; each column is name-resolved inside its group's task.
   Result<std::vector<CrosswalkResult>> RealignMany(
       const std::vector<Column>& objectives, size_t threads = 0,
       ExecuteOutput output = ExecuteOutput::kFullDm) const;

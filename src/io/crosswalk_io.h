@@ -33,6 +33,16 @@ Result<LoadedCrosswalk> CrosswalkFromTable(
     std::vector<std::string> source_units = {},
     std::vector<std::string> target_units = {});
 
+/// Re-indexes `cw` onto the unit universes `source_units` /
+/// `target_units` (each a superset of cw's list): rows and columns
+/// move to their universe positions and every stored value keeps its
+/// exact bits — no text round trip. All four unit lists must be
+/// strictly ascending, as CrosswalkFromTable derives them; a unit of
+/// `cw` missing from its universe is NotFound.
+Result<LoadedCrosswalk> RemapCrosswalk(
+    const LoadedCrosswalk& cw, const std::vector<std::string>& source_units,
+    const std::vector<std::string>& target_units);
+
 /// Builds a ReferenceAttribute from a loaded crosswalk; the source
 /// aggregates are the DM row sums.
 core::ReferenceAttribute ReferenceFromCrosswalk(std::string name,
@@ -45,7 +55,8 @@ Result<linalg::Vector> AggregatesFromTable(
     const std::string& value_column, const std::vector<std::string>& units);
 
 /// Serializes a DM back to a long-form table with the given column
-/// names (only stored entries are emitted).
+/// names (only stored entries are emitted). Values print with `%.17g`,
+/// so CrosswalkFromTable reads back exactly the same bits.
 Table CrosswalkToTable(const LoadedCrosswalk& cw,
                        const std::string& source_column,
                        const std::string& target_column,

@@ -7,8 +7,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "common/random.h"
+#include "common/string_util.h"
+#include "core/crosswalk_plan.h"
 #include "io/csv.h"
+#include "sparse/coo_builder.h"
 
 namespace geoalign {
 namespace {
@@ -95,6 +100,78 @@ TEST_F(CliTest, BadUsageFailsNonZero) {
                      "/bad_obj.csv --ref population=" + dir_ +
                      "/pop.csv 2>/dev/null >/dev/null";
   EXPECT_NE(std::system(cmd2.c_str()), 0);
+}
+
+TEST_F(CliTest, SeventeenDigitCrosswalksMatchInProcessPlan) {
+  // Two crosswalks over overlapping, different unit ranges, so the CLI
+  // must merge universes and re-index both. Every value carries 17
+  // significant digits: a text round trip at fewer digits moves the
+  // learned weights and, with them, printed estimates.
+  auto name = [](char prefix, size_t i) {
+    return StrFormat("%c%04zu", prefix, i);
+  };
+  const size_t kSources = 400, kTargets = 200;
+  struct Range {
+    size_t source_begin, source_end, target_begin, target_end;
+  };
+  const Range ranges[] = {{0, 300, 0, 150}, {100, 400, 50, 200}};
+  core::CrosswalkInput input;
+  std::string ref_args;
+  for (size_t k = 0; k < 2; ++k) {
+    const Range& r = ranges[k];
+    Rng rng(2018, k);
+    sparse::CooBuilder builder(kSources, kTargets);
+    std::string csv = "source,target,value\n";
+    const size_t span = r.target_end - r.target_begin;
+    for (size_t s = r.source_begin; s < r.source_end; ++s) {
+      for (size_t hop = 0; hop < 1 + s % 3; ++hop) {
+        const size_t t = r.target_begin + (s * 7 + hop * 13) % span;
+        const double v = rng.Uniform(1.0, 1000.0);
+        builder.Add(s, t, v);
+        csv += name('s', s) + "," + name('t', t) + "," +
+               StrFormat("%.17g", v) + "\n";
+      }
+    }
+    const std::string path = dir_ + StrFormat("/ref17_%zu.csv", k);
+    WriteFile(path, csv);
+    ref_args += StrFormat(" --ref r%zu=", k) + path;
+    core::ReferenceAttribute ref;
+    ref.name = StrFormat("r%zu", k);
+    ref.disaggregation = builder.Build();
+    ref.source_aggregates = ref.disaggregation.RowSums();
+    input.references.push_back(std::move(ref));
+  }
+  Rng rng(2018, 9);
+  std::string objective = "unit,value\n";
+  for (size_t s = 0; s < kSources; ++s) {
+    input.objective_source.push_back(rng.Uniform(0.0, 500.0));
+    objective +=
+        name('s', s) + "," + StrFormat("%.17g", input.objective_source[s]) +
+        "\n";
+  }
+  WriteFile(dir_ + "/obj17.csv", objective);
+
+  const std::string out = dir_ + "/out17.csv";
+  const std::string cmd = cli_ + " --objective " + dir_ + "/obj17.csv" +
+                          ref_args + " --output aggregates --out " + out +
+                          " 2>/dev/null";
+  ASSERT_EQ(std::system(cmd.c_str()), 0);
+  auto table = std::move(io::ReadCsvFile(out)).ValueOrDie();
+  auto units = std::move(table.StringColumn("unit")).ValueOrDie();
+  auto values = std::move(table.StringColumn("value")).ValueOrDie();
+
+  auto plan = std::move(core::CrosswalkPlan::Compile(input,
+                                                     core::GeoAlignOptions{}))
+                  .ValueOrDie();
+  auto want = std::move(plan.Execute(input.objective_source,
+                                     core::ExecuteOutput::kAggregatesOnly))
+                  .ValueOrDie();
+  ASSERT_EQ(units.size(), kTargets);
+  for (size_t t = 0; t < kTargets; ++t) {
+    EXPECT_EQ(units[t], name('t', t));
+    EXPECT_EQ(values[t], StrFormat("%.12g", want.target_estimates[t]))
+        << "target " << units[t];
+  }
 }
 
 }  // namespace

@@ -638,16 +638,32 @@ TEST(PlanEquivalenceTest, PipelineServesSharedPlanBitIdentically) {
   columns.push_back(repeated);
 
   // RealignMany over the shared plan ≡ looping Realign, for any thread
-  // count — and Realign itself ≡ the legacy oracle.
+  // count and output shape — and Realign itself ≡ the legacy oracle.
   auto many1 = std::move(pipeline.RealignMany(columns, 1)).ValueOrDie();
   auto many4 = std::move(pipeline.RealignMany(columns, 4)).ValueOrDie();
   ASSERT_EQ(many1.size(), columns.size());
   ASSERT_EQ(many4.size(), columns.size());
+  std::vector<std::vector<core::CrosswalkResult>> full_many, agg_many;
+  for (size_t threads : {size_t{2}, size_t{3}, size_t{5}}) {
+    full_many.push_back(
+        std::move(pipeline.RealignMany(columns, threads)).ValueOrDie());
+    ASSERT_EQ(full_many.back().size(), columns.size());
+  }
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                         size_t{5}}) {
+    agg_many.push_back(
+        std::move(pipeline.RealignMany(columns, threads,
+                                       core::ExecuteOutput::kAggregatesOnly))
+            .ValueOrDie());
+    ASSERT_EQ(agg_many.back().size(), columns.size());
+  }
   for (size_t i = 0; i < columns.size(); ++i) {
     SCOPED_TRACE(StrFormat("column %zu", i));
     auto single = std::move(pipeline.Realign(columns[i])).ValueOrDie();
     ExpectBitIdentical(many1[i], single);
     ExpectBitIdentical(many4[i], single);
+    for (const auto& many : full_many) ExpectBitIdentical(many[i], single);
+    for (const auto& many : agg_many) ExpectAggregatesOnly(many[i], single);
 
     core::CrosswalkInput per_call = input;
     per_call.objective_source.assign(sources.size(), 0.0);
@@ -783,9 +799,10 @@ TEST(PlanEquivalenceTest, CachedPlanExecutesIdenticallyAcrossForcedIsas) {
 
 TEST(PlanEquivalenceTest, AlignedBatchRunServesPanelsBitIdentically) {
   // BatchCrosswalk::Run on an aligned plan takes the panel serving
-  // path (RunPanels); every result must still carry exactly the
-  // per-call Crosswalk bits, for serial and pooled runs alike — and a
-  // wrong-length objective must keep its Batch-specific error.
+  // path (CrosswalkPlan::ExecuteMany); every result must still carry
+  // exactly the per-call Crosswalk bits, for serial and pooled runs
+  // alike — and a wrong-length objective must keep its Batch-specific
+  // error.
   core::CrosswalkInput input = MakeAlignedDenseInput();
   for (size_t threads : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE(StrFormat("threads=%zu", threads));
@@ -881,6 +898,110 @@ TEST(PlanEquivalenceTest, AlignedPipelineRealignManyServesPanelsBitIdentically) 
   EXPECT_NE(failed.status().message().find("unknown unit 'nope'"),
             std::string::npos)
       << failed.status().message();
+}
+
+// A pipeline and a batch over the same world references, both with
+// options.threads = 4.
+struct TwoSurfaces {
+  core::CrosswalkInput input;
+  std::vector<std::string> sources;
+  std::optional<core::CrosswalkPipeline> pipeline;
+  std::optional<core::BatchCrosswalk> batch;
+};
+
+TwoSurfaces MakeTwoSurfaces() {
+  TwoSurfaces w;
+  w.input = MakeWorldInput();
+  w.sources = MakeUnitNames("s", w.input.NumSourceUnits());
+  core::GeoAlignOptions opts;
+  opts.threads = 4;
+  w.pipeline.emplace(
+      std::move(core::CrosswalkPipeline::Create(
+                    w.sources, MakeUnitNames("t", w.input.NumTargetUnits()),
+                    w.input.references,
+                    std::make_shared<core::GeoAlign>(opts)))
+          .ValueOrDie());
+  w.batch.emplace(
+      std::move(core::BatchCrosswalk::Create(w.input.references, opts))
+          .ValueOrDie());
+  return w;
+}
+
+core::CrosswalkPipeline::Column NamedColumn(
+    const std::vector<std::string>& sources, const linalg::Vector& values) {
+  core::CrosswalkPipeline::Column column;
+  for (size_t i = 0; i < sources.size(); ++i) {
+    column.emplace_back(sources[i], values[i]);
+  }
+  return column;
+}
+
+TEST(PlanEquivalenceTest, SequentialRealignManyStartsNoPool) {
+  // threads = 1 means sequential: no pool at all, not even one for the
+  // kernels sized by the method's options.threads.
+  TwoSurfaces w = MakeTwoSurfaces();
+  std::vector<core::CrosswalkPipeline::Column> columns(
+      3, NamedColumn(w.sources, w.input.objective_source));
+  const bool saved_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  obs::Counter& started = obs::MetricsRegistry::Global().GetCounter(
+      "thread_pool.workers_started");
+  for (core::ExecuteOutput output :
+       {core::ExecuteOutput::kFullDm, core::ExecuteOutput::kAggregatesOnly}) {
+    const uint64_t before = started.Value();
+    auto many = w.pipeline->RealignMany(columns, 1, output);
+    EXPECT_TRUE(many.ok()) << many.status().ToString();
+    EXPECT_EQ(started.Value() - before, 0u);
+  }
+  obs::SetEnabled(saved_enabled);
+}
+
+TEST(PlanEquivalenceTest, ServingSurfacesCountEveryOfferedColumn) {
+  // realign.columns_total counts the columns offered, failing ones
+  // included, on both surfaces and at every thread count.
+  TwoSurfaces w = MakeTwoSurfaces();
+  std::vector<core::CrosswalkPipeline::Column> columns(
+      3, NamedColumn(w.sources, w.input.objective_source));
+  columns[1] = {{"nope", 1.0}};
+  std::vector<core::BatchCrosswalk::Objective> objectives(
+      3, {"col", w.input.objective_source});
+  objectives[1].source = linalg::Vector{1.0, 2.0};
+  const bool saved_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  obs::Counter& total =
+      obs::MetricsRegistry::Global().GetCounter("realign.columns_total");
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(StrFormat("threads=%zu", threads));
+    uint64_t before = total.Value();
+    EXPECT_FALSE(w.pipeline->RealignMany(columns, threads).ok());
+    EXPECT_EQ(total.Value() - before, columns.size());
+  }
+  const uint64_t before = total.Value();
+  EXPECT_FALSE(w.batch->Run(objectives).ok());
+  EXPECT_EQ(total.Value() - before, objectives.size());
+  obs::SetEnabled(saved_enabled);
+}
+
+TEST(PlanEquivalenceTest, SingleColumnOnPoolMatchesAcrossSurfaces) {
+  // One column with a 4-thread pool: both surfaces spend the pool in
+  // the kernels and carry the same bits as a sequential execute.
+  TwoSurfaces w = MakeTwoSurfaces();
+  auto many = std::move(w.pipeline->RealignMany(
+                            {NamedColumn(w.sources, w.input.objective_source)},
+                            4, core::ExecuteOutput::kAggregatesOnly))
+                  .ValueOrDie();
+  auto batch =
+      std::move(w.batch->Run({{"col", w.input.objective_source}}))
+          .ValueOrDie();
+  auto want = std::move(w.pipeline->plan()->Execute(
+                            w.input.objective_source, size_t{1}))
+                  .ValueOrDie();
+  ASSERT_EQ(many.size(), 1u);
+  ASSERT_EQ(batch.size(), 1u);
+  ExpectAggregatesOnly(many[0], want);
+  ASSERT_EQ(batch[0].target_estimates, want.target_estimates);
+  ASSERT_EQ(batch[0].weights, want.weights);
+  ASSERT_EQ(batch[0].zero_rows, want.zero_rows);
 }
 
 TEST(PlanEquivalenceTest, BatchMatchesCrosswalkBitIdentically) {

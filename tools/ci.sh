@@ -3,6 +3,12 @@
 # (docs/static_analysis.md). Each gate is independently skippable:
 #
 #   plain   build + full ctest, GEOALIGN_WERROR=ON (default)
+#   perfbench
+#           the repository benchmark's smoke run (python3
+#           perfbench/run.py --smoke): builds the benchmark against
+#           this tree and runs every workload's correctness check, so
+#           an API change that breaks the benchmark build or a
+#           workload check fails CI. Not skippable.
 #   bench   realign_throughput smoke at tiny scale — exercises the
 #           compiled serving path against the legacy per-call oracle
 #           and fails on any bit difference
@@ -99,14 +105,15 @@ TSA_DIR="${TSA_DIR:-build-tsa}"
 CLANGXX="${CLANGXX:-clang++}"
 CTEST_FILTER="${CTEST_FILTER:-}"
 
-GATES=(plain bench fused simd overlay tsan asan ubsan tidy tsa lint
-       capi obs benchdiff)
+GATES=(plain perfbench bench fused simd overlay tsan asan ubsan tidy tsa
+       lint capi obs benchdiff)
 # Which toolchain each gate runs on, for the summary matrix. "cxx" is
 # the default compiler CMake resolves (gcc or clang alike).
 declare -A TOOL=(
   [plain]=cxx [bench]=cxx [fused]=cxx [simd]=cxx [overlay]=cxx
   [tsan]=cxx [asan]=cxx [ubsan]=cxx [tidy]=clang-tidy [tsa]=clang++
   [lint]=python3 [capi]=cc [obs]=python3 [benchdiff]=python3
+  [perfbench]=python3
 )
 declare -A RESULT
 failed=0
@@ -334,10 +341,11 @@ printf '%-12s %-8s gates: %s\n' "$CLANGXX" "$(tool_status "$CLANGXX")" "tsa"
 printf '%-12s %-8s gates: %s\n' "${CLANG_TIDY:-clang-tidy}" \
   "$(tool_status "${CLANG_TIDY:-clang-tidy}")" "tidy"
 printf '%-12s %-8s gates: %s\n' "python3" "$(tool_status python3)" \
-  "lint obs benchdiff"
+  "perfbench lint obs benchdiff"
 printf '%-12s %-8s gates: %s\n' "${CC:-cc}" "$(tool_status "${CC:-cc}")" "capi"
 
 run_gate plain 0 run_suite "$BUILD_DIR"
+run_gate perfbench 0 python3 perfbench/run.py --smoke
 run_gate bench "${SKIP_BENCH:-0}" env \
   GEOALIGN_BENCH_SCALE=0.05 GEOALIGN_BENCH_REPS=2 GEOALIGN_BENCH_MAX_COLS=64 \
   "$BUILD_DIR/bench/realign_throughput" \

@@ -31,8 +31,10 @@
 // Crosswalk CSVs are long-form: columns `source,target,value` (one row
 // per non-empty intersection; the reference's source aggregates are
 // the row sums). The objective CSV has columns `unit,value`. The unit
-// universes are derived from the union of the crosswalk files; every
-// objective unit must appear there.
+// universes are the sorted union of the crosswalk files' units; every
+// objective unit must appear there. Each crosswalk is re-indexed onto
+// the universes (io::RemapCrosswalk), so its parsed values reach the
+// crosswalk bit-exact. Estimates print with `%.12g`.
 //
 // Example:
 //   geoalign_cli --objective steam.csv
@@ -217,25 +219,19 @@ Result<int> Run(const CliArgs& args) {
     for (const std::string& u : cw.target_units) target_units.push_back(u);
     crosswalks.push_back(std::move(cw));
   }
-  std::sort(source_units.begin(), source_units.end());
-  source_units.erase(
-      std::unique(source_units.begin(), source_units.end()),
-      source_units.end());
-  std::sort(target_units.begin(), target_units.end());
-  target_units.erase(
-      std::unique(target_units.begin(), target_units.end()),
-      target_units.end());
+  for (std::vector<std::string>* units : {&source_units, &target_units}) {
+    std::sort(units->begin(), units->end());
+    units->erase(std::unique(units->begin(), units->end()), units->end());
+  }
 
-  // Re-resolve every crosswalk against the unified universes (cheap:
-  // reparse its long form).
+  // Re-index every crosswalk onto the unified universes (an index
+  // remap: values pass through untouched), freeing each as it goes.
   core::CrosswalkInput input;
   for (size_t k = 0; k < args.refs.size(); ++k) {
-    io::Table long_form = io::CrosswalkToTable(crosswalks[k], "source",
-                                               "target", "value");
     GEOALIGN_ASSIGN_OR_RETURN(
         io::LoadedCrosswalk aligned,
-        io::CrosswalkFromTable(long_form, "source", "target", "value",
-                               source_units, target_units));
+        io::RemapCrosswalk(crosswalks[k], source_units, target_units));
+    crosswalks[k] = io::LoadedCrosswalk();
     input.references.push_back(
         io::ReferenceFromCrosswalk(args.refs[k].first, aligned));
   }
