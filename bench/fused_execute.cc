@@ -11,13 +11,20 @@
 //
 // Axes: universe size (nnz of the shared CSR structure) × reference
 // count (dense synth layers extended by structure-preserving clones,
-// so the set stays aligned and the fused kernel engages) × column
+// so the caller's set is already aligned) × column
 // count (64 and the GEOALIGN_BENCH_MAX_COLS cap). Every sample checks
 // â_o^t / weights / zero_rows BIT-identical across the two arms and
 // reads the execute.hot_path_allocs / execute.workspace_reuse
 // counters across the timed fused reps (after a warmup pass); the
 // exit code gates identity, alignment, and the zero-hot-allocation
 // promise. Results go to BENCH_fused_execute.json.
+//
+// A second arm runs the paper's own workload: every unaligned US
+// leave-one-out input (synth::Universe::MakeLeaveOneOutInput — the
+// Poisson layers give each reference a private DM pattern), which the
+// plan scatters onto the union of the patterns so the fused and panel
+// lanes engage. Same two arms, same checks; `input_aligned` records
+// that the caller's DMs did not share a structure.
 //
 // A third section sweeps the column-panel lane itself: panel widths
 // {1, 4, 8, 16, 32, 64} × dispatch ISA (forced scalar vs the native
@@ -61,10 +68,13 @@ namespace {
 
 struct Sample {
   std::string universe;
+  std::string target;     // held-out layer (unaligned LOO arm only)
   size_t zips = 0;
   size_t counties = 0;
   size_t references = 0;
   size_t shared_nnz = 0;  // nnz of the shared CSR structure
+  size_t input_nnz = 0;   // nnz summed over the caller's DMs
+  bool input_aligned = true;  // caller's DMs shared one structure
   size_t columns = 0;
   double materializing_seconds = 0.0;  // best of reps
   double fused_seconds = 0.0;          // best of reps
@@ -200,30 +210,33 @@ bool BitIdenticalAggregates(const std::vector<core::CrosswalkResult>& fused,
   return true;
 }
 
-Sample BenchOne(const synth::Universe& uni, size_t num_references,
-                size_t num_columns) {
+// Times both arms of RealignMany over one pipeline on `refs`.
+Sample BenchOne(const synth::Universe& uni,
+                const std::vector<core::ReferenceAttribute>& refs,
+                const linalg::Vector& objective, size_t num_columns) {
   Sample s;
   s.universe = uni.name;
   s.zips = uni.NumZips();
   s.counties = uni.NumCounties();
-  s.references = num_references;
+  s.references = refs.size();
   s.columns = num_columns;
   s.materializing_seconds = 1e300;
   s.fused_seconds = 1e300;
+  s.input_aligned = sparse::SharesOneStructure(refs);
+  for (const core::ReferenceAttribute& ref : refs) {
+    s.input_nnz += ref.disaggregation.nnz();
+  }
 
-  linalg::Vector objective;
-  auto refs = MakeAlignedReferences(uni, num_references, &objective);
-  refs.status().CheckOK();
   std::vector<std::string> sources = MakeUnitNames("z", objective.size());
   std::vector<std::string> targets =
-      MakeUnitNames("c", refs->front().disaggregation.cols());
+      MakeUnitNames("c", refs.front().disaggregation.cols());
   std::vector<core::CrosswalkPipeline::Column> columns =
       MakeColumns(sources, objective, num_columns);
 
   core::GeoAlignOptions options;
   options.threads = 1;
   auto pipeline = core::CrosswalkPipeline::Create(
-      sources, targets, *refs, std::make_shared<core::GeoAlign>(options));
+      sources, targets, refs, std::make_shared<core::GeoAlign>(options));
   pipeline.status().CheckOK();
   if (pipeline->plan() == nullptr) {
     std::fprintf(stderr, "fused_execute: plan failed to compile\n");
@@ -408,11 +421,27 @@ int main(int argc, char** argv) {
 
   std::vector<Sample> samples;
   for (const synth::Universe* uni : universes) {
-    for (size_t refs : reference_counts) {
+    for (size_t count : reference_counts) {
+      linalg::Vector objective;
+      auto refs = MakeAlignedReferences(*uni, count, &objective);
+      refs.status().CheckOK();
       for (size_t columns : column_counts) {
-        samples.push_back(BenchOne(*uni, refs, columns));
+        samples.push_back(BenchOne(*uni, *refs, objective, columns));
       }
     }
+  }
+
+  // The unaligned arm: every US leave-one-out input at the smaller
+  // column count (the materializing arm dominates the bench's time).
+  const synth::Universe& us = *universes.back();
+  std::vector<Sample> loo_samples;
+  for (size_t t = 0; t < us.datasets.size(); ++t) {
+    auto input = us.MakeLeaveOneOutInput(t);
+    input.status().CheckOK();
+    Sample s = BenchOne(us, input->references, input->objective_source,
+                        column_counts.front());
+    s.target = us.datasets[t].name;
+    loo_samples.push_back(std::move(s));
   }
 
   eval::TextTable table({"universe", "refs", "nnz", "cols",
@@ -432,6 +461,25 @@ int main(int argc, char** argv) {
         .Text(s.bit_identical ? "yes" : "NO");
   }
   table.Print();
+
+  std::printf("\nunaligned US leave-one-out inputs (union structure)\n");
+  eval::TextTable loo_table({"target", "refs", "input nnz", "union nnz",
+                             "cols", "materializing s", "fused s", "speedup",
+                             "hot allocs", "bit-identical"});
+  for (const Sample& s : loo_samples) {
+    loo_table.Row()
+        .Text(s.target)
+        .Num(static_cast<double>(s.references))
+        .Num(static_cast<double>(s.input_nnz))
+        .Num(static_cast<double>(s.shared_nnz))
+        .Num(static_cast<double>(s.columns))
+        .Num(s.materializing_seconds)
+        .Num(s.fused_seconds)
+        .Num(s.speedup)
+        .Num(static_cast<double>(s.hot_path_allocs))
+        .Text(s.bit_identical ? "yes" : "NO");
+  }
+  loo_table.Print();
 
   // Panel-width × ISA sweep on the largest universe at the widest
   // column count: the panel lane driven directly, per-column scalar
@@ -473,8 +521,10 @@ int main(int argc, char** argv) {
   sweep_table.Print();
 
   bool ok = true;
-  for (const Sample& s : samples) {
-    ok &= s.bit_identical && s.aligned && s.hot_path_allocs == 0;
+  for (const std::vector<Sample>* arm : {&samples, &loo_samples}) {
+    for (const Sample& s : *arm) {
+      ok &= s.bit_identical && s.aligned && s.hot_path_allocs == 0;
+    }
   }
   for (const SweepSample& s : sweep) {
     ok &= s.bit_identical && s.hot_path_allocs == 0;
@@ -518,6 +568,25 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(s.workspace_reuse),
         s.aligned ? "true" : "false", s.bit_identical ? "true" : "false",
         i + 1 < samples.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"unaligned_loo\": [\n");
+  for (size_t i = 0; i < loo_samples.size(); ++i) {
+    const Sample& s = loo_samples[i];
+    std::fprintf(
+        f,
+        "    {\"universe\": \"%s\", \"target\": \"%s\", "
+        "\"references\": %zu, \"input_nnz\": %zu, \"union_nnz\": %zu, "
+        "\"input_aligned\": %s, \"columns\": %zu, "
+        "\"materializing_seconds\": %.6e, \"fused_seconds\": %.6e, "
+        "\"speedup\": %.3f, \"hot_path_allocs_after_warmup\": %llu, "
+        "\"aligned\": %s, \"bit_identical\": %s}%s\n",
+        s.universe.c_str(), s.target.c_str(), s.references, s.input_nnz,
+        s.shared_nnz, s.input_aligned ? "true" : "false", s.columns,
+        s.materializing_seconds, s.fused_seconds, s.speedup,
+        static_cast<unsigned long long>(s.hot_path_allocs),
+        s.aligned ? "true" : "false", s.bit_identical ? "true" : "false",
+        i + 1 < loo_samples.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"panel_sweep\": {\n");

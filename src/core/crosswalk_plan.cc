@@ -71,9 +71,11 @@ obs::Counter& WorkspaceReuse() {
   return c;
 }
 // Bytes the ingest path duplicated to get reference data into a plan
-// (aggregate columns + CSR arrays). The owning Compile overloads pay
-// this once per reference; the view overloads keep it at zero — the
-// zero-copy contract tests and bench/ingest_path assert on the delta.
+// (aggregate columns + the CSR arrays of DMs kept as they are). The
+// owning Compile overloads pay this once per reference; the view
+// overloads keep it at zero — the zero-copy contract tests and
+// bench/ingest_path assert on the delta. Union arrays that Prepare
+// derives for an unaligned set are not copies and are not counted.
 obs::Counter& IngestBytesCopied() {
   static obs::Counter& c =
       obs::MetricsRegistry::Global().GetCounter("ingest.bytes_copied");
@@ -220,19 +222,28 @@ Result<CrosswalkPlan> CrosswalkPlan::Compile(
         "GeoAlign: kFallbackDm requires options.fallback_dm");
   }
 
-  // The owning ingest path duplicates every reference (aggregate
-  // column + CSR arrays) into plan-owned storage; the view overload
-  // below is the copy-free path.
+  // The owning ingest path duplicates every aggregate column into
+  // plan-owned storage, and every DM when the DMs already share one
+  // structure. Any other DM is only read while Prepare scatters it
+  // onto the union structure — the plan's own copy — so it is lent to
+  // Prepare, not duplicated. The view overload below is the copy-free
+  // path.
+  const bool keep_dms = sparse::SharesOneStructure(references);
   std::vector<sparse::ReferenceData> data;
   data.reserve(references.size());
   uint64_t bytes_copied = 0;
   for (const ReferenceAttribute& ref : references) {
-    bytes_copied +=
-        ref.source_aggregates.size() * sizeof(double) +
-        ref.disaggregation.row_ptr().size() * sizeof(size_t) +
-        ref.disaggregation.nnz() * (sizeof(size_t) + sizeof(double));
-    data.push_back(sparse::ReferenceData{ref.name, ref.source_aggregates,
-                                         ref.disaggregation});
+    const sparse::CsrMatrix& dm = ref.disaggregation;
+    bytes_copied += ref.source_aggregates.size() * sizeof(double);
+    if (keep_dms) {
+      bytes_copied += dm.row_ptr().size() * sizeof(size_t) +
+                      dm.nnz() * (sizeof(size_t) + sizeof(double));
+    }
+    data.push_back(sparse::ReferenceData{
+        ref.name, ref.source_aggregates,
+        keep_dms ? dm
+                 : sparse::CsrMatrix::BorrowStructure(dm, dm.values(),
+                                                      nullptr)});
   }
   IngestBytesCopied().Add(bytes_copied);
   GEOALIGN_ASSIGN_OR_RETURN(
@@ -302,11 +313,8 @@ Result<CrosswalkPlan> CrosswalkPlan::FinishCompile(
   // needs, resolved once here so serving loops never re-derive it.
   plan.workspace_spec_.num_references = plan.prepared_.size();
   plan.workspace_spec_.num_source = plan.prepared_.num_source();
-  plan.workspace_spec_.aligned = plan.prepared_.aligned();
-  if (plan.workspace_spec_.aligned) {
-    plan.workspace_spec_.fused = sparse::FusedWorkspace::ComputeSpec(
-        *plan.prepared_.dms()[0], plan.prepared_.size());
-  }
+  plan.workspace_spec_.fused = sparse::FusedWorkspace::ComputeSpec(
+      *plan.prepared_.dms()[0], plan.prepared_.size());
 
   if (plan.options_.fallback_dm != nullptr) {
     // Snapshot the fallback DM so the plan owns everything it reads at
@@ -386,7 +394,8 @@ Result<CrosswalkResult> CrosswalkPlan::ExecuteWith(
   }
   GEOALIGN_TRACE_SPAN("execute");
   obs::Stopwatch execute_watch;
-  const char* audit_mode = "materializing";
+  const char* audit_mode =
+      output == ExecuteOutput::kAggregatesOnly ? "fused" : "materializing";
 
   // The body runs inside a lambda so the single exit point below can
   // publish one flight-recorder audit record per execute, success or
@@ -404,25 +413,20 @@ Result<CrosswalkResult> CrosswalkPlan::ExecuteWith(
     result.timing.Add("weight_learning", watch.ElapsedSeconds());
 
     // Steps 2+3: disaggregation (Eq. 14) + re-aggregation (Eq. 17),
-    // through one of two bit-identical lanes. The fused lane needs the
-    // shared-structure invariant; a non-aligned prepared set asked for
-    // aggregates only goes through the materializing lane and drops the
-    // DM at the end.
+    // over the prepared set's shared structure, through one of two
+    // bit-identical lanes: fused for aggregates only, materializing
+    // when DM̂_o is wanted.
     ExecuteWorkspace local_workspace;
     ExecuteWorkspace* ws =
         workspace != nullptr ? workspace : &local_workspace;
     const uint64_t allocs_before = ws->alloc_events();
 
-    if (output == ExecuteOutput::kAggregatesOnly && prepared_.aligned()) {
-      audit_mode = "fused";
+    if (output == ExecuteOutput::kAggregatesOnly) {
       GEOALIGN_RETURN_IF_ERROR(
           ExecuteFusedAggregates(objective_source, beta, pool, ws, &result));
     } else {
       GEOALIGN_RETURN_IF_ERROR(
           ExecuteMaterializing(objective_source, beta, pool, ws, &result));
-      if (output == ExecuteOutput::kAggregatesOnly) {
-        result.estimated_dm = sparse::CsrMatrix();
-      }
     }
 
     result.weights = std::move(beta);
@@ -484,11 +488,11 @@ Status CrosswalkPlan::ExecuteMaterializing(
     size_t num_refs = prepared_.size();
     const linalg::Vector& effective = EffectiveWeights(beta, ws);
 
-    Result<sparse::CsrMatrix> summed =
-        prepared_.aligned()
-            ? sparse::WeightedSumAligned(prepared_.dms(), effective, pool)
-            : sparse::WeightedSum(prepared_.dms(), effective, pool);
-    GEOALIGN_ASSIGN_OR_RETURN(sparse::CsrMatrix numerator, std::move(summed));
+    // Exact zeros (union fillers included) are pruned from the sum, so
+    // DM̂_o carries the bits of the general scatter-gather merge.
+    GEOALIGN_ASSIGN_OR_RETURN(
+        sparse::CsrMatrix numerator,
+        sparse::WeightedSumAligned(prepared_.dms(), effective, pool));
 
     linalg::Vector row_sums;
     const linalg::Vector* denom;
@@ -629,16 +633,6 @@ void CrosswalkPlan::ExecutePanelWith(
     std::optional<Result<CrosswalkResult>>* const* results, size_t count,
     ExecuteWorkspace* workspace) const {
   if (count == 0) return;
-  if (!prepared_.aligned()) {
-    // ExecuteMany only routes aligned plans here; keep the entry
-    // total by degrading to the per-column lane.
-    for (size_t i = 0; i < count; ++i) {
-      results[i]->emplace(ExecuteWith(objectives[i], nullptr,
-                                      ExecuteOutput::kAggregatesOnly,
-                                      workspace));
-    }
-    return;
-  }
   ExecuteWorkspace local_workspace;
   ExecuteWorkspace* ws = workspace != nullptr ? workspace : &local_workspace;
   for (size_t base = 0; base < count; base += sparse::simd::kMaxPanelWidth) {
@@ -660,8 +654,7 @@ Result<std::vector<CrosswalkResult>> CrosswalkPlan::ExecuteMany(
   ColumnsTotal().Add(count);
   if (count == 0) return std::vector<CrosswalkResult>{};
 
-  const bool panels =
-      output == ExecuteOutput::kAggregatesOnly && prepared_.aligned();
+  const bool panels = output == ExecuteOutput::kAggregatesOnly;
   const size_t width = std::min(panels ? panel_width() : 1, count);
   const size_t num_groups = (count + width - 1) / width;
   const bool outer = pool != nullptr && pool->size() > 1 && num_groups > 1;

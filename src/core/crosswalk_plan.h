@@ -46,9 +46,12 @@ Result<linalg::Vector> SolveWeightsForDesign(const linalg::Matrix& a,
 ///  - DMs stay raw with a scalar normalizer folded into the per-execute
 ///    effective weights, exactly as the legacy loop does (pre-scaling
 ///    the matrix values would reorder IEEE divisions);
-///  - the structure-sharing WeightedSumAligned kernel accumulates per
-///    entry in operand order from 0.0, the same addition sequence as
-///    the general scatter-gather kernel.
+///  - every prepared DM sits on one shared structure (an unaligned
+///    reference set is scattered onto the union of its patterns, see
+///    sparse::PreparedReferenceSet), and the structure-sharing kernels
+///    accumulate per entry in operand order from 0.0, the same addition
+///    sequence as the general scatter-gather kernel; union fillers add
+///    exact +0.0 and are pruned from DM̂_o.
 ///
 /// Immutable after Compile and safe to share across threads: Execute
 /// is const and touches no mutable state. Move-only (the prepared set
@@ -103,8 +106,8 @@ class CrosswalkPlan {
                                   size_t threads) const;
 
   /// Same as Execute(objective_source), selecting the output shape:
-  /// ExecuteOutput::kAggregatesOnly takes the fused Eq. 14+17 lane
-  /// (aligned reference structures) and never materializes DM̂_o.
+  /// ExecuteOutput::kAggregatesOnly takes the fused Eq. 14+17 lane and
+  /// never materializes DM̂_o.
   Result<CrosswalkResult> Execute(common::ColumnView objective_source,
                                   ExecuteOutput output) const;
 
@@ -142,8 +145,7 @@ class CrosswalkPlan {
   /// the reusable per-slot arena (nullptr uses a per-call local one).
   /// ExecuteMany slices its columns into panels of panel_width() and
   /// runs one call per panel; counts above simd::kMaxPanelWidth are
-  /// split internally. Non-aligned prepared sets fall back to
-  /// per-column ExecuteWith.
+  /// split internally.
   void ExecutePanelWith(const common::ColumnView* objectives,
                         std::optional<Result<CrosswalkResult>>* const* results,
                         size_t count, ExecuteWorkspace* workspace) const;
@@ -168,8 +170,8 @@ class CrosswalkPlan {
   /// paper-§6 portal shape, and the single many-column entry behind
   /// CrosswalkPipeline::RealignMany and BatchCrosswalk::Run.
   ///  - Groups: panel_width() columns per group (one ExecutePanelWith)
-  ///    when the references are aligned and `output` is
-  ///    kAggregatesOnly, else one column per group (ExecuteWith).
+  ///    when `output` is kAggregatesOnly, else one column per group
+  ///    (ExecuteWith).
   ///  - Pool: groups run concurrently, kernels inline, when `pool` has
   ///    more than one worker and there is more than one group;
   ///    otherwise groups run in order and the pool goes to the
@@ -226,15 +228,16 @@ class CrosswalkPlan {
   const linalg::Vector& EffectiveWeights(const linalg::Vector& beta,
                                          ExecuteWorkspace* ws) const;
 
-  /// The materializing lane: WeightedSum → DivideRowsOrZero →
-  /// ScaleRows → [fallback rebuild] → ColSumsDeterministic; fills
-  /// result's estimated_dm / target_estimates / zero_rows / timing.
+  /// The materializing lane (kFullDm): WeightedSumAligned →
+  /// DivideRowsOrZero → ScaleRows → [fallback rebuild] →
+  /// ColSumsDeterministic; fills result's estimated_dm /
+  /// target_estimates / zero_rows / timing.
   Status ExecuteMaterializing(common::ColumnView objective_source,
                               const linalg::Vector& beta,
                               common::ThreadPool* pool, ExecuteWorkspace* ws,
                               CrosswalkResult* result) const;
 
-  /// The fused aggregates-only lane (aligned structures only):
+  /// The fused aggregates-only lane:
   /// sparse::FusedAggregatesAligned straight into target_estimates.
   Status ExecuteFusedAggregates(common::ColumnView objective_source,
                                 const linalg::Vector& beta,

@@ -6,7 +6,7 @@ void ExecuteWorkspace::Prepare(const ExecuteWorkspaceSpec& spec,
                                size_t slots) {
   Reset(effective_weights_, spec.num_references);
   Reset(denominators_, spec.num_source);
-  if (spec.aligned) fused_.Prepare(spec.fused, slots);
+  fused_.Prepare(spec.fused, slots);
 }
 
 void ExecuteWorkspace::PreparePanel(const ExecuteWorkspaceSpec& spec,
@@ -29,7 +29,7 @@ void ExecuteWorkspace::PreparePanel(const ExecuteWorkspaceSpec& spec,
   reserve_ptrs(panel_.zero_lists, width);
   reserve_ptrs(panel_.lanes, width);
   if (grew) ++alloc_events_;
-  if (spec.aligned) fused_.PreparePanel(spec.fused, width);
+  fused_.PreparePanel(spec.fused, width);
 }
 
 linalg::Vector& ExecuteWorkspace::EffectiveWeights(size_t n) {

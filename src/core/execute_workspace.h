@@ -17,11 +17,8 @@ namespace geoalign::core {
 struct ExecuteWorkspaceSpec {
   size_t num_references = 0;
   size_t num_source = 0;
-  /// True when the prepared references share one CSR structure — the
-  /// precondition of the fused aggregates-only lane.
-  bool aligned = false;
-  /// Fused-kernel sizing (chunk count, widest row); meaningful only
-  /// when `aligned`.
+  /// Fused-kernel sizing (chunk count, widest row) of the prepared
+  /// references' shared structure.
   sparse::FusedWorkspace::Spec fused;
 };
 

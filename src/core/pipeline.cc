@@ -162,15 +162,24 @@ Result<CrosswalkPipeline> CrosswalkPipeline::Create(
 
 Result<linalg::Vector> CrosswalkPipeline::ResolveColumn(
     const std::vector<std::pair<std::string, double>>& column,
-    const std::unordered_map<std::string, size_t>& index) const {
-  linalg::Vector out(index.size(), 0.0);
-  for (const auto& [unit, value] : column) {
-    auto it = index.find(unit);
-    if (it == index.end()) {
-      return Status::NotFound("CrosswalkPipeline: unknown unit '" + unit +
-                              "'");
+    const std::vector<std::string>& units,
+    const std::unordered_map<std::string, size_t>& index) {
+  linalg::Vector out(units.size(), 0.0);
+  for (size_t i = 0; i < column.size(); ++i) {
+    const auto& [unit, value] = column[i];
+    // Columns usually list units in universe order, so try position i
+    // before hashing. Unit names are unique (Create rejects
+    // duplicates), so a positional match is the index's answer too.
+    size_t at = i;
+    if (i >= units.size() || units[i] != unit) {
+      auto it = index.find(unit);
+      if (it == index.end()) {
+        return Status::NotFound("CrosswalkPipeline: unknown unit '" + unit +
+                                "'");
+      }
+      at = it->second;
     }
-    out[it->second] += value;
+    out[at] += value;
   }
   return out;
 }
@@ -187,8 +196,9 @@ Result<CrosswalkResult> CrosswalkPipeline::Realign(
     obs::Stopwatch& watch;
     ~LatencyRecorder() { RealignLatencyUs().Record(watch.ElapsedMicros()); }
   } recorder{realign_watch};
-  GEOALIGN_ASSIGN_OR_RETURN(linalg::Vector objective_source,
-                            ResolveColumn(objective, source_index_));
+  GEOALIGN_ASSIGN_OR_RETURN(
+      linalg::Vector objective_source,
+      ResolveColumn(objective, source_units_, source_index_));
   if (plan_ != nullptr) {
     return plan_->Execute(objective_source);
   }
@@ -213,7 +223,8 @@ Result<std::vector<CrosswalkResult>> CrosswalkPipeline::RealignMany(
         objectives.size(),
         [&](size_t i, linalg::Vector* scratch) -> Result<common::ColumnView> {
           GEOALIGN_ASSIGN_OR_RETURN(
-              *scratch, ResolveColumn(objectives[i], source_index_));
+              *scratch,
+              ResolveColumn(objectives[i], source_units_, source_index_));
           return common::ColumnView(*scratch);
         },
         pool.get(), output);
@@ -248,7 +259,7 @@ Result<std::vector<CrosswalkResult>> CrosswalkPipeline::RealignMany(
     obs::Stopwatch column_watch;
     CrosswalkInput input;
     Result<linalg::Vector> column =
-        ResolveColumn(objectives[i], source_index_);
+        ResolveColumn(objectives[i], source_units_, source_index_);
     if (!column.ok()) {
       results[i].emplace(column.status());
       return;
@@ -283,7 +294,7 @@ Result<std::vector<CrosswalkPipeline::JoinedRow>> CrosswalkPipeline::Join(
   GEOALIGN_ASSIGN_OR_RETURN(CrosswalkResult realigned, Realign(objective));
   GEOALIGN_ASSIGN_OR_RETURN(
       linalg::Vector target_vals,
-      ResolveColumn(target_attribute, target_index_));
+      ResolveColumn(target_attribute, target_units_, target_index_));
   std::vector<JoinedRow> rows;
   rows.reserve(target_units_.size());
   for (size_t j = 0; j < target_units_.size(); ++j) {

@@ -109,9 +109,13 @@ class CrosswalkPipeline {
                     std::vector<ReferenceAttribute> references,
                     std::shared_ptr<const Interpolator> method);
 
-  Result<linalg::Vector> ResolveColumn(
+  /// Sums a (unit name, value) column into unit-index order over
+  /// `units` (whose name→index map is `index`); unknown names are
+  /// NotFound.
+  static Result<linalg::Vector> ResolveColumn(
       const std::vector<std::pair<std::string, double>>& column,
-      const std::unordered_map<std::string, size_t>& index) const;
+      const std::vector<std::string>& units,
+      const std::unordered_map<std::string, size_t>& index);
 
   std::vector<std::string> source_units_;
   std::vector<std::string> target_units_;

@@ -71,6 +71,10 @@ Result<Vector> NormalizeByMax(VectorView a) {
   if (a.empty()) return Status::InvalidArgument("NormalizeByMax: empty");
   double mx = 0.0;
   for (double v : a) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument(
+          "NormalizeByMax: non-finite aggregate encountered");
+    }
     if (v < 0.0) {
       return Status::InvalidArgument(
           "NormalizeByMax: negative aggregate encountered");
@@ -80,8 +84,16 @@ Result<Vector> NormalizeByMax(VectorView a) {
   if (ExactlyZero(mx)) {
     return Status::InvalidArgument("NormalizeByMax: all-zero vector");
   }
+  // A subnormal maximum overflows 1/max; the β_k / max effective
+  // weights downstream would then be infinite and turn exact zeros
+  // into NaN.
+  const double inv = 1.0 / mx;
+  if (!std::isfinite(inv)) {
+    return Status::InvalidArgument(
+        "NormalizeByMax: maximum too small to normalize by");
+  }
   Vector out(a.begin(), a.end());
-  Scale(out, 1.0 / mx);
+  Scale(out, inv);
   return out;
 }
 

@@ -53,7 +53,8 @@ Vector Add(VectorView a, VectorView b);
 
 /// Divides by the maximum entry, the normalization GeoAlign applies to
 /// reference/objective aggregate vectors (paper §3.4). Returns an error
-/// if any entry is negative or all entries are zero.
+/// if any entry is negative, NaN or infinite, if all entries are zero,
+/// or if the maximum is so small that its reciprocal overflows.
 Result<Vector> NormalizeByMax(VectorView a);
 
 /// True when every |a[i]-b[i]| <= tol.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/float_eq.h"
@@ -67,6 +68,21 @@ Result<CsrMatrix> CsrMatrix::FromBorrowed(
   m.view_row_ptr_ = view.row_ptr;
   m.view_col_idx_ = view.col_idx;
   m.view_values_ = view.values;
+  m.keepalive_ = std::move(keepalive);
+  return m;
+}
+
+CsrMatrix CsrMatrix::BorrowStructure(const CsrMatrix& structure,
+                                     common::ConstSpan<double> values,
+                                     std::shared_ptr<const void> keepalive) {
+  GEOALIGN_CHECK(values.size() == structure.nnz())
+      << "BorrowStructure: value count does not match the structure";
+  CsrMatrix m(structure.rows_, structure.cols_);
+  m.row_ptr_.clear();  // unused in borrowed mode
+  m.borrowed_ = true;
+  m.view_row_ptr_ = structure.row_ptr();
+  m.view_col_idx_ = structure.col_idx();
+  m.view_values_ = values;
   m.keepalive_ = std::move(keepalive);
   return m;
 }

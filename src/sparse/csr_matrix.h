@@ -56,6 +56,14 @@ class CsrMatrix {
   static Result<CsrMatrix> FromBorrowed(
       const CsrView& view, std::shared_ptr<const void> keepalive = nullptr);
 
+  /// Borrowed matrix with `structure`'s shape, row_ptr and col_idx and
+  /// one entry of `values` per stored entry of `structure` — no copy,
+  /// and no re-validation of the already-valid structure. The arrays
+  /// must outlive the result unless `keepalive` guards them.
+  static CsrMatrix BorrowStructure(const CsrMatrix& structure,
+                                   common::ConstSpan<double> values,
+                                   std::shared_ptr<const void> keepalive);
+
   /// Densifies `m` (intended for tests and small examples).
   static CsrMatrix FromDense(const linalg::Matrix& m,
                              double prune_below = 0.0);
@@ -66,6 +74,13 @@ class CsrMatrix {
 
   /// True when this matrix views caller memory instead of owning it.
   bool borrowed() const { return borrowed_; }
+
+  /// True when `other` has this shape and identical row_ptr/col_idx
+  /// arrays (values may differ).
+  bool SameStructure(const CsrMatrix& other) const {
+    return rows_ == other.rows_ && cols_ == other.cols_ &&
+           row_ptr() == other.row_ptr() && col_idx() == other.col_idx();
+  }
 
   /// Value at (r, c); 0 for entries not stored. O(log nnz(row)).
   double At(size_t r, size_t c) const;

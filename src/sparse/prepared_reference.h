@@ -82,6 +82,22 @@ struct ReferenceDataView {
   std::shared_ptr<const void> keepalive;
 };
 
+/// True when every reference's DM has the first one's shape and
+/// row_ptr/col_idx arrays. Prepare keeps such a set as it is and
+/// scatters any other onto the union of its patterns; the owning
+/// Compile path asks first, so it never deep-copies a DM that is about
+/// to be scattered. `Reference` is any type with a `disaggregation`
+/// CsrMatrix member.
+template <typename Reference>
+bool SharesOneStructure(const std::vector<Reference>& references) {
+  for (const Reference& ref : references) {
+    if (!ref.disaggregation.SameStructure(references[0].disaggregation)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// One reference after objective-independent compilation: everything
 /// Eq. 14/15 need that does not depend on the objective column,
 /// computed once and immutable afterwards.
@@ -101,17 +117,31 @@ struct PreparedReference {
   std::string name;
   common::ColumnView source_aggregates;  ///< a^s_r (borrowed view)
   std::shared_ptr<const void> aggregates_keepalive;
-  CsrMatrix disaggregation;              ///< DM_r, raw values
+  /// DM_r, raw values, on the set's shared execute structure.
+  CsrMatrix disaggregation;
   linalg::Vector normalized_aggregates;  ///< a^s_r / max_i a^s_r[i] (Eq. 15 column)
   double normalizer = 1.0;               ///< max_i a^s_r[i]
-  linalg::Vector dm_row_sums;            ///< per-row sums of DM_r
 };
 
 /// An immutable, shareable set of prepared references — the sparse
-/// half of a compiled CrosswalkPlan. Detects once whether every
-/// reference DM shares one column-index structure (the common case
-/// when all DMs come from the same overlay), which lets the executor
-/// use the structure-sharing weighted-sum kernel.
+/// half of a compiled CrosswalkPlan. Every prepared DM shares one CSR
+/// structure, which is what the executor's structure-sharing kernels
+/// (WeightedSumAligned, FusedAggregatesAligned, FusedAggregatesPanel)
+/// require:
+///  - DMs that already share one structure (e.g. all derived from the
+///    same overlay) are kept as they are — borrowed DMs stay borrowed;
+///  - otherwise every DM is scattered onto the union of the patterns
+///    (the paper's §4.3 overlay cells): one shared row_ptr/col_idx,
+///    built and validated once, plus one values array per reference
+///    with an explicit +0.0 where that reference has no entry. The
+///    arrays are owned by the set through one keepalive.
+///
+/// The union is exact: aggregates and β are validated non-negative
+/// and finite (and NormalizeByMax rejects a max whose reciprocal
+/// overflows), so every effective weight β_k/normalizer_k is finite
+/// and each +0.0 filler adds an exact +0.0 to an accumulator that
+/// starts at +0.0 — no partial sum, denominator or column sum changes
+/// a bit, and the kernels prune exact zeros from any materialized DM.
 ///
 /// Move-only: the cached DM pointer vector aliases the prepared
 /// references, which stay valid across moves of the owning vector but
@@ -120,12 +150,15 @@ class PreparedReferenceSet {
  public:
   /// Validates shapes, max-normalizes every aggregate vector (the
   /// ScaleMode::kNormalized / Eq. 15 preprocessing; errors mirror the
-  /// legacy per-call path's NormalizeByMax failures), walks every DM
-  /// once for its row sums, and fingerprints the whole set.
+  /// legacy per-call path's NormalizeByMax failures), fingerprints the
+  /// set over the caller's arrays, and scatters unaligned DMs onto the
+  /// union structure.
   ///
-  /// Zero-copy contract: the aggregate views and any borrowed DM
-  /// arrays are referenced, never duplicated — the prepared set reads
-  /// caller memory through the views for its whole lifetime.
+  /// Zero-copy contract: the aggregate views are referenced, never
+  /// duplicated — the prepared set reads caller memory through them
+  /// for its whole lifetime. Borrowed DMs that already share one
+  /// structure stay borrowed; scattered DMs are read only during
+  /// Prepare.
   static Result<PreparedReferenceSet> Prepare(
       std::vector<ReferenceDataView> references);
 
@@ -146,14 +179,16 @@ class PreparedReferenceSet {
   const PreparedReference& reference(size_t k) const { return refs_[k]; }
 
   /// Pointers to every reference's raw DM, in reference order — the
-  /// operand list for sparse::WeightedSum / WeightedSumAligned.
+  /// operand list of the structure-sharing execute kernels.
   const std::vector<const CsrMatrix*>& dms() const { return dms_; }
 
-  /// True when all DMs share identical row_ptr/col_idx arrays.
-  bool aligned() const { return aligned_; }
+  /// True when all DMs share identical row_ptr/col_idx arrays — always,
+  /// after Prepare (see the class comment).
+  bool aligned() const { return true; }
 
-  /// Content fingerprint (names, aggregates, CSR arrays) — the
-  /// reference-set half of a PlanCache key.
+  /// Content fingerprint (names, aggregates, CSR arrays as the caller
+  /// passed them, before any union scatter) — the reference-set half of
+  /// a PlanCache key.
   uint64_t fingerprint() const { return fingerprint_; }
 
  private:
@@ -161,7 +196,6 @@ class PreparedReferenceSet {
 
   std::vector<PreparedReference> refs_;
   std::vector<const CsrMatrix*> dms_;
-  bool aligned_ = false;
   uint64_t fingerprint_ = 0;
   size_t num_source_ = 0;
   size_t num_target_ = 0;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/random.h"
 #include "linalg/cholesky.h"
@@ -52,6 +53,23 @@ TEST(VectorOps, NormalizeByMaxRejectsBadInput) {
   EXPECT_FALSE(NormalizeByMax({}).ok());
   EXPECT_FALSE(NormalizeByMax({0.0, 0.0}).ok());
   EXPECT_FALSE(NormalizeByMax({1.0, -2.0}).ok());
+}
+
+TEST(VectorOps, NormalizeByMaxRejectsNonFiniteEntriesAndTinyMax) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(NormalizeByMax({1.0, std::nan("")}).ok());
+  EXPECT_FALSE(NormalizeByMax({std::nan(""), 1.0}).ok());
+  EXPECT_FALSE(NormalizeByMax({inf, 1.0}).ok());
+  // 1/max overflows for a subnormal maximum: every β_k/max weight
+  // built on it would be infinite.
+  auto tiny = NormalizeByMax({1e-320, 0.0, 1e-320});
+  ASSERT_FALSE(tiny.ok());
+  EXPECT_EQ(tiny.status().code(), geoalign::StatusCode::kInvalidArgument);
+  // A small but normal maximum still normalizes.
+  auto small =
+      NormalizeByMax({std::ldexp(1.0, -1000), std::ldexp(1.0, -1001)});
+  ASSERT_TRUE(small.ok());
+  EXPECT_EQ(*small, (Vector{1.0, 0.5}));
 }
 
 TEST(VectorOps, AllClose) {

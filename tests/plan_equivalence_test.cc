@@ -16,6 +16,7 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,8 +54,9 @@ core::CrosswalkInput MakeWorldInput() {
 // The world input restricted to its dense layers. Poisson layers drop
 // zero cells, so their DMs have private structures; the dense layers
 // cover every overlay cell and therefore share one CSR structure —
-// the aligned regime where the fused execute kernel engages
-// (FusedLaneRunsOnAlignedWorld asserts the plan sees it as aligned).
+// the regime where Prepare keeps the DMs as they are instead of
+// scattering them onto a union structure (FusedLaneRunsOnAlignedWorld
+// guards both premises).
 core::CrosswalkInput MakeAlignedDenseInput() {
   core::CrosswalkInput input = MakeWorldInput();
   std::vector<core::ReferenceAttribute> dense;
@@ -318,8 +320,11 @@ ZeroRowWorld MakeAlignedZeroRowWorld() {
 
 TEST(PlanEquivalenceTest, FusedLaneRunsOnAlignedWorld) {
   // Guards the test premises: the dense world and the hand-built
-  // zero-row world must compile as aligned (fused kernel engages), the
-  // full world must not (materializing fallback lane).
+  // zero-row world already share one structure. The full world's
+  // Poisson layers do not, so Prepare scatters every DM onto the union
+  // of their patterns: each plan then runs on one shared structure
+  // (fused and panel lanes), whose cells are exactly the distinct
+  // (row, col) pairs of the inputs.
   core::CrosswalkInput dense = MakeAlignedDenseInput();
   ASSERT_EQ(dense.references.size(), 4u);
   auto dense_plan =
@@ -334,11 +339,133 @@ TEST(PlanEquivalenceTest, FusedLaneRunsOnAlignedWorld) {
   EXPECT_TRUE(zero_plan.references().aligned());
 
   core::CrosswalkInput world = MakeWorldInput();
+  EXPECT_FALSE(sparse::SharesOneStructure(world.references))
+      << "the Poisson layers should have private DM structures";
   auto world_plan =
       std::move(core::CrosswalkPlan::Compile(world, core::GeoAlignOptions{}))
           .ValueOrDie();
-  EXPECT_FALSE(world_plan.references().aligned())
-      << "the Poisson layers should have private DM structures";
+  EXPECT_TRUE(world_plan.references().aligned());
+  const std::vector<const sparse::CsrMatrix*>& dms =
+      world_plan.references().dms();
+  for (const sparse::CsrMatrix* dm : dms) {
+    EXPECT_EQ(dm->row_ptr().data(), dms[0]->row_ptr().data());
+    EXPECT_EQ(dm->col_idx().data(), dms[0]->col_idx().data());
+  }
+  std::set<std::pair<size_t, size_t>> cells;
+  for (const core::ReferenceAttribute& ref : world.references) {
+    for (size_t r = 0; r < ref.disaggregation.rows(); ++r) {
+      sparse::CsrMatrix::RowView row = ref.disaggregation.Row(r);
+      for (size_t k = 0; k < row.size; ++k) cells.emplace(r, row.cols[k]);
+    }
+  }
+  EXPECT_EQ(dms[0]->nnz(), cells.size());
+}
+
+TEST(PlanEquivalenceTest, WorldFingerprintIsPinned) {
+  // The fingerprint hashes the caller's arrays before any union
+  // scatter, so PlanCache keys did not move when the union structure
+  // arrived. The literal was computed before the union existed.
+  auto plan = std::move(core::CrosswalkPlan::Compile(MakeWorldInput(),
+                                                     core::GeoAlignOptions{}))
+                  .ValueOrDie();
+  EXPECT_EQ(plan.fingerprint(), 0xc9ba00db8abf126eull);
+}
+
+TEST(PlanEquivalenceTest, UnionScatteredReferencesKeepBitsNotFingerprint) {
+  // Handing the plan's union-scattered DMs (explicit +0.0 fillers
+  // included) back in as input is a different reference set byte-wise,
+  // so it fingerprints differently — and every path still produces the
+  // original input's bits, DM̂_o structure included.
+  core::CrosswalkInput world = MakeWorldInput();
+  auto plan =
+      std::move(core::CrosswalkPlan::Compile(world, core::GeoAlignOptions{}))
+          .ValueOrDie();
+  core::CrosswalkInput scattered;
+  scattered.objective_source = world.objective_source;
+  size_t world_nnz = 0, scattered_nnz = 0;
+  for (size_t k = 0; k < world.references.size(); ++k) {
+    core::ReferenceAttribute ref;
+    ref.name = world.references[k].name;
+    ref.source_aggregates = world.references[k].source_aggregates;
+    ref.disaggregation = plan.references().reference(k).disaggregation;
+    world_nnz += world.references[k].disaggregation.nnz();
+    scattered_nnz += ref.disaggregation.nnz();
+    scattered.references.push_back(std::move(ref));
+  }
+  ASSERT_GT(scattered_nnz, world_nnz) << "no explicit fillers to test";
+
+  for (core::ScaleMode scale :
+       {core::ScaleMode::kNormalized, core::ScaleMode::kRaw}) {
+    for (core::DenominatorMode den : {core::DenominatorMode::kFromDmRowSums,
+                                      core::DenominatorMode::kFromAggregates}) {
+      SCOPED_TRACE(StrFormat("scale=%d den=%d", static_cast<int>(scale),
+                             static_cast<int>(den)));
+      core::GeoAlignOptions opts;
+      opts.scale_mode = scale;
+      opts.denominator = den;
+      auto legacy =
+          std::move(core::CrosswalkUncompiled(world, opts)).ValueOrDie();
+      auto direct = std::move(core::CrosswalkPlan::Compile(scattered, opts))
+                        .ValueOrDie();
+      EXPECT_NE(direct.fingerprint(), plan.fingerprint());
+      ExpectBitIdentical(
+          std::move(direct.Execute(world.objective_source)).ValueOrDie(),
+          legacy);
+      ExpectAggregatesOnly(
+          std::move(direct.Execute(world.objective_source,
+                                   core::ExecuteOutput::kAggregatesOnly))
+              .ValueOrDie(),
+          legacy);
+      ExpectBitIdentical(
+          std::move(core::CrosswalkUncompiled(scattered, opts)).ValueOrDie(),
+          legacy);
+    }
+  }
+}
+
+TEST(PlanEquivalenceTest, SubnormalMaximumIsRejectedOnEveryPath) {
+  // A reference whose largest aggregate is subnormal: 1/max overflows,
+  // so β/max would be infinite and turn the +0.0 union fillers into
+  // NaN. The plan and the legacy path reject it with the same status
+  // (the legacy path used to return NaN weights).
+  core::CrosswalkInput input;
+  input.objective_source = {1.0, 2.0, 3.0};
+  core::ReferenceAttribute a;
+  a.name = "A";
+  a.source_aggregates = {1.0, 1.0, 1.0};
+  sparse::CooBuilder ba(3, 3);
+  ba.Add(0, 0, 1.0);
+  ba.Add(1, 1, 1.0);
+  ba.Add(2, 2, 1.0);
+  a.disaggregation = ba.Build();
+  core::ReferenceAttribute tiny;
+  tiny.name = "tiny";
+  tiny.source_aggregates = {1e-320, 0.0, 1e-320};
+  sparse::CooBuilder bt(3, 3);
+  bt.Add(0, 1, 1e-320);
+  bt.Add(2, 1, 1e-320);
+  tiny.disaggregation = bt.Build();
+  input.references = {a, tiny};
+
+  auto legacy = core::CrosswalkUncompiled(input, core::GeoAlignOptions{});
+  ASSERT_FALSE(legacy.ok());
+  EXPECT_EQ(legacy.status().code(), StatusCode::kInvalidArgument);
+  auto plan = core::CrosswalkPlan::Compile(input, core::GeoAlignOptions{});
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), legacy.status().code());
+  EXPECT_EQ(plan.status().message(), legacy.status().message());
+
+  // The same rule covers the objective column.
+  input.references = {a};
+  input.objective_source = {1e-320, 0.0, 0.0};
+  auto legacy_obj = core::CrosswalkUncompiled(input, core::GeoAlignOptions{});
+  ASSERT_FALSE(legacy_obj.ok());
+  auto single = std::move(core::CrosswalkPlan::Compile(
+                              input, core::GeoAlignOptions{}))
+                    .ValueOrDie();
+  auto executed = single.Execute(input.objective_source);
+  ASSERT_FALSE(executed.ok());
+  EXPECT_EQ(executed.status().message(), legacy_obj.status().message());
 }
 
 TEST(PlanEquivalenceTest, AlignedDenseWorldBitIdentical) {
@@ -606,6 +733,54 @@ TEST(PlanEquivalenceTest, PipelineRejectsDuplicateUnitNames) {
                 "duplicate target unit name 't1'"),
             std::string::npos)
       << dup_target.status().message();
+}
+
+TEST(PlanEquivalenceTest, PipelineResolvesColumnsByPositionThenName) {
+  // Column resolution tries the unit at the entry's own position before
+  // hashing. Unit names are unique, so order, duplicates and unknown
+  // names must behave exactly as a pure name lookup would.
+  ZeroRowWorld w = MakeZeroRowWorld();
+  const std::vector<std::string> sources = {"s0", "s1", "s2"};
+  const std::vector<std::string> targets = {"t0", "t1", "t2", "t3"};
+  auto pipeline = std::move(core::CrosswalkPipeline::Create(
+                                sources, targets, w.input.references))
+                      .ValueOrDie();
+  const linalg::Vector want =
+      std::move(core::CrosswalkUncompiled(w.input, core::GeoAlignOptions{}))
+          .ValueOrDie()
+          .target_estimates;
+  const std::vector<core::CrosswalkPipeline::Column> same_column = {
+      {{"s0", 5.0}, {"s1", 7.0}, {"s2", 9.0}},   // universe order
+      {{"s2", 9.0}, {"s0", 5.0}, {"s1", 7.0}},   // shuffled
+      {{"s0", 2.0}, {"s0", 3.0}, {"s1", 7.0}, {"s2", 9.0}},  // sums
+      {{"s1", 7.0}, {"s2", 9.0}, {"s0", 2.0}, {"s0", 3.0}},  // past the end
+  };
+  for (const core::CrosswalkPipeline::Column& column : same_column) {
+    auto realigned = std::move(pipeline.Realign(column)).ValueOrDie();
+    EXPECT_EQ(realigned.target_estimates, want);
+  }
+  auto unknown = pipeline.Realign({{"s0", 5.0}, {"nope", 1.0}});
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(unknown.status().message().find("unknown unit 'nope'"),
+            std::string::npos);
+
+  // Join resolves its target column over the target units the same way.
+  auto joined = std::move(pipeline.Join(same_column[0], {{"t3", 4.0},
+                                                         {"t1", 1.0},
+                                                         {"t0", 0.5},
+                                                         {"t1", 1.0}}))
+                    .ValueOrDie();
+  ASSERT_EQ(joined.size(), targets.size());
+  const std::vector<double> target_values = {0.5, 2.0, 0.0, 4.0};
+  for (size_t j = 0; j < joined.size(); ++j) {
+    EXPECT_EQ(joined[j].target_unit, targets[j]);
+    EXPECT_EQ(joined[j].objective_estimate, want[j]);
+    EXPECT_EQ(joined[j].target_value, target_values[j]);
+  }
+  auto bad_target = pipeline.Join(same_column[0], {{"t9", 1.0}});
+  ASSERT_FALSE(bad_target.ok());
+  EXPECT_EQ(bad_target.status().code(), StatusCode::kNotFound);
 }
 
 TEST(PlanEquivalenceTest, PipelineServesSharedPlanBitIdentically) {

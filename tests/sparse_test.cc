@@ -5,6 +5,7 @@
 #include "common/random.h"
 #include "sparse/coo_builder.h"
 #include "sparse/csr_matrix.h"
+#include "sparse/prepared_reference.h"
 #include "sparse/sparse_ops.h"
 
 namespace geoalign::sparse {
@@ -128,6 +129,70 @@ TEST(CsrMatrix, AllCloseComparesStructurallyDifferentMatrices) {
   EXPECT_FALSE(a.AllClose(b, 1e-15));
   CsrMatrix c(2, 3);
   EXPECT_FALSE(a.AllClose(c, 1.0));
+}
+
+TEST(CsrMatrix, BorrowStructureSharesArraysWithNewValues) {
+  CsrMatrix m = Small();
+  const std::vector<double> values = {5.0, 6.0, 7.0, 8.0};
+  CsrMatrix v = CsrMatrix::BorrowStructure(m, values, nullptr);
+  EXPECT_TRUE(v.borrowed());
+  EXPECT_TRUE(v.SameStructure(m));
+  EXPECT_EQ(v.row_ptr().data(), m.row_ptr().data());
+  EXPECT_EQ(v.col_idx().data(), m.col_idx().data());
+  EXPECT_EQ(v.values().data(), values.data());
+  EXPECT_EQ(v.At(2, 1), 8.0);
+  CsrMatrix other = CsrMatrix::FromDense(Matrix::FromRows(
+      {{1.0, 0.0, 2.0}, {0.0, 1.0, 0.0}, {3.0, 4.0, 0.0}}));
+  EXPECT_FALSE(other.SameStructure(m));
+  EXPECT_FALSE(CsrMatrix(3, 4).SameStructure(CsrMatrix(3, 3)));
+}
+
+TEST(PreparedReferenceSet, ScattersUnalignedDmsOntoTheUnion) {
+  // a: (0,0)=1 (1,2)=2     b: (0,1)=3 (1,0)=5 (1,2)=4
+  CooBuilder ba(2, 3);
+  ba.Add(0, 0, 1.0);
+  ba.Add(1, 2, 2.0);
+  CooBuilder bb(2, 3);
+  bb.Add(0, 1, 3.0);
+  bb.Add(1, 2, 4.0);
+  bb.Add(1, 0, 5.0);
+  std::vector<ReferenceData> refs;
+  refs.push_back({"a", {1.0, 2.0}, ba.Build()});
+  refs.push_back({"b", {3.0, 9.0}, bb.Build()});
+  ASSERT_FALSE(SharesOneStructure(refs));
+  auto set = std::move(PreparedReferenceSet::Prepare(std::move(refs)))
+                 .ValueOrDie();
+  EXPECT_TRUE(set.aligned());
+  const CsrMatrix& a = *set.dms()[0];
+  const CsrMatrix& b = *set.dms()[1];
+  EXPECT_EQ(a.row_ptr(), (std::vector<size_t>{0, 2, 4}));
+  EXPECT_EQ(a.col_idx(), (std::vector<size_t>{0, 1, 0, 2}));
+  EXPECT_EQ(a.values(), (std::vector<double>{1.0, 0.0, 0.0, 2.0}));
+  EXPECT_EQ(b.values(), (std::vector<double>{0.0, 3.0, 5.0, 4.0}));
+  // One structure, shared by pointer.
+  EXPECT_EQ(a.row_ptr().data(), b.row_ptr().data());
+  EXPECT_EQ(a.col_idx().data(), b.col_idx().data());
+  EXPECT_EQ(set.reference(1).normalizer, 9.0);
+}
+
+TEST(PreparedReferenceSet, KeepsAlignedBorrowedDmsBorrowed) {
+  CsrMatrix m = Small();
+  const std::vector<double> other_values = {2.0, 1.0, 1.0, 2.0};
+  const std::vector<double> agg_a = {3.0, 0.0, 7.0};
+  const std::vector<double> agg_b = {3.0, 0.0, 3.0};
+  std::vector<ReferenceDataView> views(2);
+  views[0].name = "a";
+  views[0].source_aggregates = agg_a;
+  views[0].disaggregation = CsrMatrix::BorrowStructure(m, m.values(), nullptr);
+  views[1].name = "b";
+  views[1].source_aggregates = agg_b;
+  views[1].disaggregation =
+      CsrMatrix::BorrowStructure(m, other_values, nullptr);
+  auto set = std::move(PreparedReferenceSet::Prepare(std::move(views)))
+                 .ValueOrDie();
+  EXPECT_EQ(set.dms()[0]->values().data(), m.values().data());
+  EXPECT_EQ(set.dms()[1]->values().data(), other_values.data());
+  EXPECT_EQ(set.dms()[1]->col_idx().data(), m.col_idx().data());
 }
 
 TEST(SparseOps, AddMatchesDense) {

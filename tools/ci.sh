@@ -8,14 +8,17 @@
 #           perfbench/run.py --smoke): builds the benchmark against
 #           this tree and runs every workload's correctness check, so
 #           an API change that breaks the benchmark build or a
-#           workload check fails CI. Not skippable.
+#           workload check fails CI; then its self-test (--self-test):
+#           every check must flag a corrupted output, and the output
+#           must match BENCHMARK.json. Not skippable.
 #   bench   realign_throughput smoke at tiny scale — exercises the
 #           compiled serving path against the legacy per-call oracle
 #           and fails on any bit difference
 #   fused   fused_execute smoke at tiny scale — aggregates-only
-#           RealignMany vs the materializing path; fails on any bit
-#           difference, a non-aligned reference set, or a hot-path
-#           workspace allocation after warmup
+#           RealignMany vs the materializing path, on aligned clones
+#           and on every unaligned US leave-one-out input; fails on any
+#           bit difference, a plan without one shared structure, or a
+#           hot-path workspace allocation after warmup
 #   simd    the SIMD bit-identity suite (differential kernel harness +
 #           panel/plan equivalence oracles) out of the plain build,
 #           run twice: once with GEOALIGN_FORCE_ISA=scalar and once on
@@ -117,6 +120,12 @@ declare -A TOOL=(
 )
 declare -A RESULT
 failed=0
+
+# The repository benchmark: every workload's checks at smoke scale,
+# then the self-test of the checks themselves.
+perfbench_gate() {
+  python3 perfbench/run.py --smoke && python3 perfbench/run.py --self-test
+}
 
 # C ABI end-to-end: C99-compile the embedder example, run it against
 # libgeoalign_c.so out of the plain build, diff against the CLI. Runs
@@ -345,7 +354,7 @@ printf '%-12s %-8s gates: %s\n' "python3" "$(tool_status python3)" \
 printf '%-12s %-8s gates: %s\n' "${CC:-cc}" "$(tool_status "${CC:-cc}")" "capi"
 
 run_gate plain 0 run_suite "$BUILD_DIR"
-run_gate perfbench 0 python3 perfbench/run.py --smoke
+run_gate perfbench 0 perfbench_gate
 run_gate bench "${SKIP_BENCH:-0}" env \
   GEOALIGN_BENCH_SCALE=0.05 GEOALIGN_BENCH_REPS=2 GEOALIGN_BENCH_MAX_COLS=64 \
   "$BUILD_DIR/bench/realign_throughput" \
