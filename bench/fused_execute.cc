@@ -1,13 +1,13 @@
-// Fused aggregates-only serving vs the materializing execute path:
-// RealignMany over one shared compiled plan, comparing
+// Aggregates-only serving vs the full-DM execute path: RealignMany
+// over one shared compiled plan, comparing
 //
 //  * materializing — RealignMany(columns) with the default
-//    ExecuteOutput::kFullDm: every column materializes DM̂_o (Eq. 14)
-//    as a fresh CSR and reduces it to â_o^t (Eq. 17);
-//  * fused — RealignMany(columns, ..., kAggregatesOnly): one pass over
-//    the shared PreparedReferenceSet structure scattering straight
-//    into the target accumulator, DM̂_o never allocated, all scratch
-//    served from plan-spec'd reusable workspaces.
+//    ExecuteOutput::kFullDm: every panel also emits each column's
+//    DM̂_o (Eq. 14) as a fresh CSR beside â_o^t (Eq. 17);
+//  * fused — RealignMany(columns, ..., kAggregatesOnly): the same
+//    panel kernel scattering straight into the target accumulator,
+//    DM̂_o never allocated, all scratch served from plan-spec'd
+//    reusable workspaces.
 //
 // Axes: universe size (nnz of the shared CSR structure) × reference
 // count (dense synth layers extended by structure-preserving clones,
@@ -22,11 +22,11 @@
 // A second arm runs the paper's own workload: every unaligned US
 // leave-one-out input (synth::Universe::MakeLeaveOneOutInput — the
 // Poisson layers give each reference a private DM pattern), which the
-// plan scatters onto the union of the patterns so the fused and panel
-// lanes engage. Same two arms, same checks; `input_aligned` records
+// plan scatters onto the union of the patterns so the one shared-
+// structure kernel serves them. Same two arms, same checks; `input_aligned` records
 // that the caller's DMs did not share a structure.
 //
-// A third section sweeps the column-panel lane itself: panel widths
+// A third section sweeps the column-panel kernel itself: panel widths
 // {1, 4, 8, 16, 32, 64} × dispatch ISA (forced scalar vs the native
 // BestSupportedIsa), driving CrosswalkPlan::ExecutePanelWith directly
 // on the largest universe. Every (width, isa) cell is checked
@@ -193,7 +193,7 @@ Result<std::vector<core::ReferenceAttribute>> MakeAlignedReferences(
   return refs;
 }
 
-// Exact equality on everything the fused lane produces; the fused arm
+// Exact equality on everything the aggregates-only arm produces; it
 // must additionally carry no DM at all.
 bool BitIdenticalAggregates(const std::vector<core::CrosswalkResult>& fused,
                             const std::vector<core::CrosswalkResult>& mat) {

@@ -2,10 +2,11 @@
 // the fig6-style synthetic workload versus worker-thread count, for
 // both parallelism layers introduced with src/common/thread_pool:
 //
-//  * crosswalk — one GeoAlign::Crosswalk with options.threads = T
-//    (parallel Eq. 14 row merge + deterministic Eq. 17 reduction);
+//  * crosswalk — one GeoAlign::Crosswalk with options.threads = T.
+//    A single plan execute runs inline, so this series is flat by
+//    design; it stays as the check that T never changes its bits;
 //  * batch — BatchCrosswalk::Run over independent objective columns
-//    with options.threads = T (one task per objective).
+//    with options.threads = T (panel groups run on the pool).
 //
 // Every configuration is also checked for BIT-identical output against
 // threads = 1 (the deterministic-reduction contract), and the series
@@ -48,7 +49,7 @@ size_t Reps() {
 
 const std::vector<size_t> kThreadCounts = {1, 2, 4, 8};
 
-// Times one GeoAlign crosswalk per thread count (inner-kernel layer).
+// Times one GeoAlign crosswalk per thread count (runs inline at every T).
 std::vector<Sample> BenchCrosswalk(const synth::Universe& uni) {
   auto input = std::move(uni.MakeLeaveOneOutInput(0)).ValueOrDie();
   std::vector<Sample> samples;
@@ -177,7 +178,7 @@ int main(int argc, char** argv) {
   size_t num_refs = 0;
   std::vector<Sample> batch = BenchBatch(uni, &num_objs, &num_refs);
 
-  PrintSection("single crosswalk (inner-kernel parallelism)", crosswalk);
+  PrintSection("single crosswalk (inline; flat by design)", crosswalk);
   PrintSection("batch over objectives (outer parallelism)", batch);
 
   bool all_identical = true;

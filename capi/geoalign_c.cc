@@ -215,8 +215,8 @@ int geoalign_plan_execute(const geoalign_plan* plan, const double* objective,
                 "geoalign: out_target is NULL");
   }
   try {
-    // The aggregates-only lane: never materializes the estimated DM,
-    // bit-identical to the materializing path.
+    // Aggregates only: never materializes the estimated DM; the
+    // estimates carry the kFullDm bits.
     Result<geoalign::core::CrosswalkResult> result = plan->plan.Execute(
         geoalign::common::ColumnView(objective, objective_len),
         geoalign::core::ExecuteOutput::kAggregatesOnly);

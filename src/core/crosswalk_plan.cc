@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <utility>
 
-#include "common/float_eq.h"
-#include "sparse/simd/panel_kernels.h"
 #include "linalg/nnls.h"
 #include "linalg/qr.h"
 #include "obs/flight_recorder.h"
@@ -16,8 +13,7 @@
 #include "obs/request_context.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
-#include "sparse/coo_builder.h"
-#include "sparse/sparse_ops.h"
+#include "sparse/simd/panel_kernels.h"
 
 namespace geoalign::core {
 
@@ -312,7 +308,6 @@ Result<CrosswalkPlan> CrosswalkPlan::FinishCompile(
   // The plan-compiled workspace spec: every scratch size an execute
   // needs, resolved once here so serving loops never re-derive it.
   plan.workspace_spec_.num_references = plan.prepared_.size();
-  plan.workspace_spec_.num_source = plan.prepared_.num_source();
   plan.workspace_spec_.fused = sparse::FusedWorkspace::ComputeSpec(
       *plan.prepared_.dms()[0], plan.prepared_.size());
 
@@ -362,266 +357,24 @@ Result<linalg::Vector> CrosswalkPlan::LearnWeights(
 }
 
 Result<CrosswalkResult> CrosswalkPlan::Execute(
-    common::ColumnView objective_source) const {
-  return Execute(objective_source, options_.threads);
-}
-
-Result<CrosswalkResult> CrosswalkPlan::Execute(
-    common::ColumnView objective_source, size_t threads) const {
-  std::unique_ptr<common::ThreadPool> pool =
-      common::MakePoolOrNull(common::ResolveThreadCount(threads));
-  return ExecuteWith(objective_source, pool.get());
-}
-
-Result<CrosswalkResult> CrosswalkPlan::Execute(
     common::ColumnView objective_source, ExecuteOutput output) const {
-  std::unique_ptr<common::ThreadPool> pool =
-      common::MakePoolOrNull(common::ResolveThreadCount(options_.threads));
-  return ExecuteWith(objective_source, pool.get(), output, nullptr);
+  return ExecuteWith(objective_source, nullptr, output, nullptr);
 }
 
 Result<CrosswalkResult> CrosswalkPlan::ExecuteWith(
-    common::ColumnView objective_source, common::ThreadPool* pool) const {
-  return ExecuteWith(objective_source, pool, ExecuteOutput::kFullDm, nullptr);
-}
-
-Result<CrosswalkResult> CrosswalkPlan::ExecuteWith(
-    common::ColumnView objective_source, common::ThreadPool* pool,
+    common::ColumnView objective_source, common::ThreadPool* /*pool*/,
     ExecuteOutput output, ExecuteWorkspace* workspace) const {
-  if (objective_source.size() != prepared_.num_source()) {
-    return Status::InvalidArgument(
-        "CrosswalkPlan: objective length does not match source units");
-  }
+  // A single execute is a width-1 panel, run inline.
   GEOALIGN_TRACE_SPAN("execute");
-  obs::Stopwatch execute_watch;
-  const char* audit_mode =
-      output == ExecuteOutput::kAggregatesOnly ? "fused" : "materializing";
-
-  // The body runs inside a lambda so the single exit point below can
-  // publish one flight-recorder audit record per execute, success or
-  // failure (the recorder is always on; see obs/flight_recorder.h).
-  Result<CrosswalkResult> outcome = [&]() -> Result<CrosswalkResult> {
-    CrosswalkResult result;
-    Stopwatch watch;
-
-    // Step 1: weight learning (Eq. 15) over the precompiled design.
-    // (The weight_solve span lives inside the solver dispatch so it
-    // covers every WeightSolver, simplex fast path included.)
-    GEOALIGN_ASSIGN_OR_RETURN(linalg::Vector b,
-                              linalg::NormalizeByMax(objective_source));
-    GEOALIGN_ASSIGN_OR_RETURN(linalg::Vector beta, SolveWeightsNormalized(b));
-    result.timing.Add("weight_learning", watch.ElapsedSeconds());
-
-    // Steps 2+3: disaggregation (Eq. 14) + re-aggregation (Eq. 17),
-    // over the prepared set's shared structure, through one of two
-    // bit-identical lanes: fused for aggregates only, materializing
-    // when DM̂_o is wanted.
-    ExecuteWorkspace local_workspace;
-    ExecuteWorkspace* ws =
-        workspace != nullptr ? workspace : &local_workspace;
-    const uint64_t allocs_before = ws->alloc_events();
-
-    if (output == ExecuteOutput::kAggregatesOnly) {
-      GEOALIGN_RETURN_IF_ERROR(
-          ExecuteFusedAggregates(objective_source, beta, pool, ws, &result));
-    } else {
-      GEOALIGN_RETURN_IF_ERROR(
-          ExecuteMaterializing(objective_source, beta, pool, ws, &result));
-    }
-
-    result.weights = std::move(beta);
-    ZeroRowsTotal().Add(result.zero_rows.size());
-    // Workspace telemetry (observe-only): growth events this execute,
-    // and reuse of an externally supplied workspace that stayed warm.
-    const uint64_t grown = ws->alloc_events() - allocs_before;
-    HotPathAllocs().Add(grown);
-    if (workspace != nullptr && grown == 0) WorkspaceReuse().Add(1);
-    ExecuteCount().Add(1);
-    ExecuteLatencyUs().Record(execute_watch.ElapsedMicros());
-    return result;
-  }();
-
-  obs::AuditRecord audit;
-  audit.plan_fingerprint = prepared_.fingerprint();
-  std::strncpy(audit.mode, audit_mode, sizeof(audit.mode) - 1);
-  audit.rows = prepared_.num_source();
-  audit.latency_us = static_cast<uint64_t>(execute_watch.ElapsedMicros());
-  if (outcome.ok()) {
-    audit.zero_rows = outcome->zero_rows.size();
-    audit.fallback =
-        options_.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
-                !outcome->zero_rows.empty()
-            ? 1
-            : 0;
-  } else {
-    audit.ok = 0;
-  }
-  obs::FlightRecorder::Global().Record(audit);
-  return outcome;
-}
-
-const linalg::Vector& CrosswalkPlan::EffectiveWeights(
-    const linalg::Vector& beta, ExecuteWorkspace* ws) const {
-  // The scalar normalizers were hoisted at compile time; the division
-  // itself must stay here — beta[k]/norm then times the raw DM is the
-  // legacy operation order.
-  size_t num_refs = prepared_.size();
-  linalg::Vector& effective = ws->EffectiveWeights(num_refs);
-  for (size_t k = 0; k < num_refs; ++k) {
-    double norm = options_.scale_mode == ScaleMode::kNormalized
-                      ? prepared_.reference(k).normalizer
-                      : 1.0;
-    effective[k] = beta[k] / norm;
-  }
-  return effective;
-}
-
-Status CrosswalkPlan::ExecuteMaterializing(
-    common::ColumnView objective_source, const linalg::Vector& beta,
-    common::ThreadPool* pool, ExecuteWorkspace* ws,
-    CrosswalkResult* result) const {
-  Stopwatch watch;
-  sparse::CsrMatrix estimated;
-  std::vector<size_t> zero_rows;
-  {
-    GEOALIGN_TRACE_SPAN("execute.eq14_disaggregate");
-    size_t num_refs = prepared_.size();
-    const linalg::Vector& effective = EffectiveWeights(beta, ws);
-
-    // Exact zeros (union fillers included) are pruned from the sum, so
-    // DM̂_o carries the bits of the general scatter-gather merge.
-    GEOALIGN_ASSIGN_OR_RETURN(
-        sparse::CsrMatrix numerator,
-        sparse::WeightedSumAligned(prepared_.dms(), effective, pool));
-
-    linalg::Vector row_sums;
-    const linalg::Vector* denom;
-    if (options_.denominator == DenominatorMode::kFromDmRowSums) {
-      row_sums = numerator.RowSums();
-      denom = &row_sums;
-    } else {
-      linalg::Vector& agg = ws->Denominators(prepared_.num_source());
-      for (size_t k = 0; k < num_refs; ++k) {
-        if (ExactlyZero(effective[k])) continue;
-        linalg::Axpy(effective[k], prepared_.reference(k).source_aggregates,
-                     agg);
-      }
-      denom = &agg;
-    }
-
-    sparse::DivideRowsOrZero(numerator, *denom, options_.zero_tolerance,
-                             &zero_rows, pool);
-    numerator.ScaleRows(objective_source);
-    estimated = std::move(numerator);
-
-    if (options_.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
-        !zero_rows.empty()) {
-      if (!fallback_shape_ok_) {
-        return Status::InvalidArgument("GeoAlign: fallback DM shape mismatch");
-      }
-      GEOALIGN_TRACE_SPAN("execute.fallback_rebuild");
-      FallbackRebuilds().Add(1);
-      const sparse::CsrMatrix& fb = *fallback_dm_;
-      const linalg::Vector& fb_sums = fallback_row_sums_;
-      std::vector<bool> is_zero_row(estimated.rows(), false);
-      for (size_t r : zero_rows) is_zero_row[r] = true;
-      sparse::CooBuilder builder(estimated.rows(), estimated.cols());
-      for (size_t r = 0; r < estimated.rows(); ++r) {
-        if (!is_zero_row[r]) {
-          sparse::CsrMatrix::RowView row = estimated.Row(r);
-          for (size_t k = 0; k < row.size; ++k) {
-            builder.Add(r, row.cols[k], row.values[k]);
-          }
-          continue;
-        }
-        if (fb_sums[r] <= 0.0) continue;  // no fallback support either
-        double scale = objective_source[r] / fb_sums[r];
-        sparse::CsrMatrix::RowView row = fb.Row(r);
-        for (size_t k = 0; k < row.size; ++k) {
-          builder.Add(r, row.cols[k], row.values[k] * scale);
-        }
-      }
-      estimated = builder.Build();
-    }
-  }
-  result->timing.Add("disaggregation", watch.ElapsedSeconds());
-  watch.Restart();
-
-  {
-    // Step 3: re-aggregation (Eq. 17).
-    GEOALIGN_TRACE_SPAN("execute.eq17_reaggregate");
-    result->target_estimates = sparse::ColSumsDeterministic(estimated, pool);
-  }
-  result->timing.Add("reaggregation", watch.ElapsedSeconds());
-
-  result->estimated_dm = std::move(estimated);
-  result->zero_rows = std::move(zero_rows);
-  return Status::OK();
-}
-
-Status CrosswalkPlan::ExecuteFusedAggregates(
-    common::ColumnView objective_source, const linalg::Vector& beta,
-    common::ThreadPool* pool, ExecuteWorkspace* ws,
-    CrosswalkResult* result) const {
-  GEOALIGN_TRACE_SPAN("execute.fused");
-  Stopwatch watch;
-  const linalg::Vector& effective = EffectiveWeights(beta, ws);
-
-  sparse::FusedAggregatesInputs in;
-  in.mats = &prepared_.dms();
-  in.weights = &effective;
-  if (options_.denominator == DenominatorMode::kFromAggregates) {
-    linalg::Vector& denom = ws->Denominators(prepared_.num_source());
-    for (size_t k = 0; k < prepared_.size(); ++k) {
-      if (ExactlyZero(effective[k])) continue;
-      linalg::Axpy(effective[k], prepared_.reference(k).source_aggregates,
-                   denom);
-    }
-    in.denominators = &denom;
-  }  // kFromDmRowSums: the kernel derives the denominators in-pass.
-  in.zero_tolerance = options_.zero_tolerance;
-  in.row_scale = objective_source;
-  // A fallback DM whose shape never validated is withheld from the
-  // kernel; the error below fires on exactly the executes where the
-  // materializing lane's rebuild would have failed (zero rows hit).
-  const bool use_fallback =
-      options_.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
-      fallback_shape_ok_;
-  in.fallback_dm = use_fallback ? fallback_dm_.get() : nullptr;
-  in.fallback_row_sums = use_fallback ? &fallback_row_sums_ : nullptr;
-
-  GEOALIGN_RETURN_IF_ERROR(sparse::FusedAggregatesAligned(
-      in, workspace_spec_.fused, &result->target_estimates,
-      &result->zero_rows, &ws->fused(), pool));
-
-  if (options_.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
-      !result->zero_rows.empty()) {
-    if (!fallback_shape_ok_) {
-      return Status::InvalidArgument("GeoAlign: fallback DM shape mismatch");
-    }
-    FallbackRebuilds().Add(1);
-  }
-  // One pass does Eq. 14 and Eq. 17 together; report it as the
-  // disaggregation phase and an explicit zero for re-aggregation so
-  // the timing key set matches the materializing lane.
-  result->timing.Add("disaggregation", watch.ElapsedSeconds());
-  result->timing.Add("reaggregation", 0.0);
-  return Status::OK();
+  ExecuteWorkspace local_workspace;
+  std::optional<Result<CrosswalkResult>> result;
+  std::optional<Result<CrosswalkResult>>* out = &result;
+  ExecuteOnePanel(&objective_source, &out, 1,
+                  workspace != nullptr ? workspace : &local_workspace, output);
+  return std::move(*result);
 }
 
 size_t CrosswalkPlan::panel_width() const {
-  // GEOALIGN_PANEL_WIDTH (bench sweeps, CI experiments) wins; read
-  // once per process, like GEOALIGN_FORCE_ISA. Unparsable values mean
-  // "unset".
-  static const size_t env_width = [] {
-    const char* env = std::getenv("GEOALIGN_PANEL_WIDTH");
-    if (env == nullptr || *env == '\0') return size_t{0};
-    long parsed = std::strtol(env, nullptr, 10);
-    if (parsed < 1) return size_t{0};
-    return std::min(static_cast<size_t>(parsed),
-                    sparse::simd::kMaxPanelWidth);
-  }();
-  if (env_width != 0) return env_width;
   // One shared-structure traversal serves the whole panel either way;
   // vector ISAs take wider panels to fill their lanes, the scalar
   // reference keeps the per-row working set smaller.
@@ -637,7 +390,8 @@ void CrosswalkPlan::ExecutePanelWith(
   ExecuteWorkspace* ws = workspace != nullptr ? workspace : &local_workspace;
   for (size_t base = 0; base < count; base += sparse::simd::kMaxPanelWidth) {
     ExecuteOnePanel(objectives + base, results + base,
-                    std::min(sparse::simd::kMaxPanelWidth, count - base), ws);
+                    std::min(sparse::simd::kMaxPanelWidth, count - base), ws,
+                    ExecuteOutput::kAggregatesOnly);
   }
 }
 
@@ -654,11 +408,9 @@ Result<std::vector<CrosswalkResult>> CrosswalkPlan::ExecuteMany(
   ColumnsTotal().Add(count);
   if (count == 0) return std::vector<CrosswalkResult>{};
 
-  const bool panels = output == ExecuteOutput::kAggregatesOnly;
-  const size_t width = std::min(panels ? panel_width() : 1, count);
+  const size_t width = std::min(panel_width(), count);
   const size_t num_groups = (count + width - 1) / width;
   const bool outer = pool != nullptr && pool->size() > 1 && num_groups > 1;
-  common::ThreadPool* kernel_pool = outer ? nullptr : pool;
 
   // One slot per concurrently running group: inline groups share slot
   // 0, pool workers take their worker index + 1, so a workspace never
@@ -669,11 +421,8 @@ Result<std::vector<CrosswalkResult>> CrosswalkPlan::ExecuteMany(
     std::vector<linalg::Vector> columns;
   };
   std::vector<Slot> slots(outer ? pool->size() + 1 : 1);
-  const size_t kernel_slots =
-      panels || kernel_pool == nullptr ? 1 : kernel_pool->size() + 1;
   for (Slot& slot : slots) {
-    slot.workspace.Prepare(workspace_spec_, kernel_slots);
-    if (panels) slot.workspace.PreparePanel(workspace_spec_, width);
+    slot.workspace.PreparePanel(workspace_spec_, width);
     slot.columns.resize(width);
   }
 
@@ -701,14 +450,9 @@ Result<std::vector<CrosswalkResult>> CrosswalkPlan::ExecuteMany(
       outs[n++] = &results[i];
     }
     if (n == 0) return;
-    if (panels) {
-      ExecutePanelWith(views.data(), outs.data(), n, &slot.workspace);
-    } else {
-      outs[0]->emplace(
-          ExecuteWith(views[0], kernel_pool, output, &slot.workspace));
-    }
-    // One sample per group: a panel group serves all its columns in
-    // one traversal (docs/observability.md).
+    ExecuteOnePanel(views.data(), outs.data(), n, &slot.workspace, output);
+    // One sample per group: a group serves all its columns in one
+    // traversal (docs/observability.md).
     RealignLatencyUs().Record(group_watch.ElapsedMicros());
   });
 
@@ -724,7 +468,7 @@ Result<std::vector<CrosswalkResult>> CrosswalkPlan::ExecuteMany(
 void CrosswalkPlan::ExecuteOnePanel(
     const common::ColumnView* objectives,
     std::optional<Result<CrosswalkResult>>* const* results, size_t count,
-    ExecuteWorkspace* ws) const {
+    ExecuteWorkspace* ws, ExecuteOutput output) const {
   GEOALIGN_TRACE_SPAN("execute.panel");
   obs::Stopwatch execute_watch;
   const uint64_t allocs_before = ws->alloc_events();
@@ -763,10 +507,27 @@ void CrosswalkPlan::ExecuteOnePanel(
     ps.lanes.push_back(i);
   }
   const size_t width = ps.lanes.size();
-  if (width == 0) return;
 
-  // Steps 2+3: one fused panel pass. Lane-major effective weights are
-  // the per-column β_k / normalizer_k divisions, verbatim.
+  // One always-on flight-recorder audit record per panel, success or
+  // failure (the panel is the execute unit; per-lane context lives in
+  // results).
+  obs::AuditRecord audit;
+  audit.plan_fingerprint = prepared_.fingerprint();
+  std::strncpy(audit.mode,
+               output == ExecuteOutput::kFullDm ? "panel_dm" : "panel",
+               sizeof(audit.mode) - 1);
+  audit.panel_width = static_cast<uint32_t>(width);
+  audit.isa = static_cast<uint32_t>(isa);
+  audit.rows = prepared_.num_source();
+  auto record_audit = [&](bool ok) {
+    audit.ok = ok ? 1 : 0;
+    audit.latency_us = static_cast<uint64_t>(execute_watch.ElapsedMicros());
+    obs::FlightRecorder::Global().Record(audit);
+  };
+  if (width == 0) return record_audit(false);
+
+  // Steps 2+3: one Eq. 14 + Eq. 17 panel pass. Lane-major effective
+  // weights are the per-column β_k / normalizer_k divisions, verbatim.
   const size_t num_refs = prepared_.size();
   for (size_t mi = 0; mi < num_refs; ++mi) {
     double norm = options_.scale_mode == ScaleMode::kNormalized
@@ -780,11 +541,13 @@ void CrosswalkPlan::ExecuteOnePanel(
   ps.row_scales.clear();
   ps.targets.clear();
   ps.zero_lists.clear();
+  ps.dms.clear();
   for (size_t li = 0; li < width; ++li) {
     CrosswalkResult& res = (*results[ps.lanes[li]])->value();
     ps.row_scales.push_back(objectives[ps.lanes[li]]);
     ps.targets.push_back(&res.target_estimates);
     ps.zero_lists.push_back(&res.zero_rows);
+    ps.dms.push_back(&res.estimated_dm);
   }
   ps.operand_aggregates.clear();
   sparse::FusedPanelInputs in;
@@ -793,9 +556,8 @@ void CrosswalkPlan::ExecuteOnePanel(
   in.width = width;
   in.row_scales = ps.row_scales.data();
   if (options_.denominator == DenominatorMode::kFromAggregates) {
-    // The kernel re-derives each lane's denominators per row with the
-    // same operand-ascending accumulation as the hoisted linalg::Axpy
-    // loop of the single-column lane — bit-identical per element.
+    // The kernel derives each lane's denominators per row with the
+    // operand-ascending accumulation of the legacy linalg::Axpy loop.
     for (size_t mi = 0; mi < num_refs; ++mi) {
       ps.operand_aggregates.push_back(
           prepared_.reference(mi).source_aggregates);
@@ -810,35 +572,24 @@ void CrosswalkPlan::ExecuteOnePanel(
   in.fallback_row_sums = use_fallback ? &fallback_row_sums_ : nullptr;
 
   Stopwatch kernel_watch;
-  Status st = sparse::FusedAggregatesPanel(in, workspace_spec_.fused, isa,
-                                           ps.targets.data(),
-                                           ps.zero_lists.data(), &ws->fused());
+  Status st = sparse::FusedAggregatesPanel(
+      in, workspace_spec_.fused, isa, ps.targets.data(), ps.zero_lists.data(),
+      &ws->fused(),
+      output == ExecuteOutput::kFullDm ? ps.dms.data() : nullptr);
   const double kernel_seconds = kernel_watch.ElapsedSeconds();
-
-  // One always-on flight-recorder audit record per panel (the panel is
-  // the execute unit in this lane; per-lane context lives in results).
-  obs::AuditRecord audit;
-  audit.plan_fingerprint = prepared_.fingerprint();
-  std::strncpy(audit.mode, "panel", sizeof(audit.mode) - 1);
-  audit.panel_width = static_cast<uint32_t>(width);
-  audit.isa = static_cast<uint32_t>(isa);
-  audit.rows = prepared_.num_source();
 
   if (!st.ok()) {
     for (size_t li = 0; li < width; ++li) results[ps.lanes[li]]->emplace(st);
-    audit.ok = 0;
-    audit.latency_us = static_cast<uint64_t>(execute_watch.ElapsedMicros());
-    obs::FlightRecorder::Global().Record(audit);
-    return;
+    return record_audit(false);
   }
   for (size_t li = 0; li < width; ++li) {
     CrosswalkResult& res = (*results[ps.lanes[li]])->value();
     if (options_.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
         !res.zero_rows.empty()) {
       if (!fallback_shape_ok_) {
-        // Error parity with the materializing rebuild: exactly the
-        // columns whose zero rows would have needed the bad-shape
-        // fallback fail.
+        // Error parity with the legacy rebuild: exactly the columns
+        // whose zero rows would have needed the bad-shape fallback
+        // fail.
         results[ps.lanes[li]]->emplace(Status::InvalidArgument(
             "GeoAlign: fallback DM shape mismatch"));
         continue;
@@ -853,9 +604,9 @@ void CrosswalkPlan::ExecuteOnePanel(
     ExecuteCount().Add(1);
   }
 
-  // Panel-lane telemetry (observe-only): the dispatched ISA, the
-  // served width, and the usual workspace health counters — one
-  // execute latency per panel, not per column.
+  // Panel telemetry (observe-only): the dispatched ISA, the served
+  // width, and the usual workspace health counters — one execute
+  // latency per panel, not per column.
   ExecuteIsaGauge().Set(static_cast<int64_t>(isa));
   PanelWidthHist().Record(static_cast<double>(width));
   PanelCount().Add(1);
@@ -863,8 +614,7 @@ void CrosswalkPlan::ExecuteOnePanel(
   HotPathAllocs().Add(grown);
   if (grown == 0) WorkspaceReuse().Add(1);
   ExecuteLatencyUs().Record(execute_watch.ElapsedMicros());
-  audit.latency_us = static_cast<uint64_t>(execute_watch.ElapsedMicros());
-  obs::FlightRecorder::Global().Record(audit);
+  record_audit(true);
 }
 
 }  // namespace geoalign::core

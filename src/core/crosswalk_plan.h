@@ -37,9 +37,10 @@ Result<linalg::Vector> SolveWeightsForDesign(const linalg::Matrix& a,
 ///
 /// Bit-identity contract: for every objective vector and every
 /// {ScaleMode, WeightSolver, DenominatorMode, ZeroRowFallback} ×
-/// threads combination, `Compile(input, opts) → Execute(obj)` produces
-/// exactly the bits of the legacy per-call path (`CrosswalkUncompiled`
-/// in core/geoalign.h). The hoisted quantities make that possible:
+/// threads combination (threads only schedule ExecuteMany groups),
+/// `Compile(input, opts) → Execute(obj)` produces exactly the bits of
+/// the legacy per-call path (`CrosswalkUncompiled` in core/geoalign.h).
+/// The hoisted quantities make that possible:
 ///  - the simplex solve goes through SolveSimplexLsFromNormalEquations,
 ///    which is the literal tail of SolveSimplexLeastSquares, so a
 ///    precomputed Gram matrix changes nothing;
@@ -48,10 +49,13 @@ Result<linalg::Vector> SolveWeightsForDesign(const linalg::Matrix& a,
 ///    the matrix values would reorder IEEE divisions);
 ///  - every prepared DM sits on one shared structure (an unaligned
 ///    reference set is scattered onto the union of its patterns, see
-///    sparse::PreparedReferenceSet), and the structure-sharing kernels
-///    accumulate per entry in operand order from 0.0, the same addition
-///    sequence as the general scatter-gather kernel; union fillers add
-///    exact +0.0 and are pruned from DM̂_o.
+///    sparse::PreparedReferenceSet);
+///  - every execute — single column or ExecuteMany panel, either output
+///    shape — runs the one Eq. 14/17 kernel, sparse::FusedAggregatesPanel.
+///    It accumulates per entry in operand order from 0.0 (the general
+///    scatter-gather kernel's addition sequence), scatters on
+///    ColSumsDeterministic's chunk grid, and emits DM̂_o with the legacy
+///    prunes, so union fillers add exact +0.0 and never reach DM̂_o.
 ///
 /// Immutable after Compile and safe to share across threads: Execute
 /// is const and touches no mutable state. Move-only (the prepared set
@@ -94,27 +98,14 @@ class CrosswalkPlan {
   CrosswalkPlan& operator=(const CrosswalkPlan&) = delete;
 
   /// Runs weight learning (Eq. 15) + disaggregation (Eq. 14) +
-  /// re-aggregation (Eq. 17) for one objective column, spinning up a
-  /// pool per `options().threads` (the legacy Crosswalk behaviour).
+  /// re-aggregation (Eq. 17) for one objective column, inline on the
+  /// calling thread. `output` selects the result shape:
+  /// ExecuteOutput::kAggregatesOnly never materializes DM̂_o.
   /// Objective columns are borrowed views (a `linalg::Vector` converts
   /// implicitly) valid for the duration of the call only.
-  Result<CrosswalkResult> Execute(common::ColumnView objective_source) const;
-
-  /// Same, overriding the thread count for this execution only
-  /// (0 = hardware concurrency, 1 = inline).
-  Result<CrosswalkResult> Execute(common::ColumnView objective_source,
-                                  size_t threads) const;
-
-  /// Same as Execute(objective_source), selecting the output shape:
-  /// ExecuteOutput::kAggregatesOnly takes the fused Eq. 14+17 lane and
-  /// never materializes DM̂_o.
-  Result<CrosswalkResult> Execute(common::ColumnView objective_source,
-                                  ExecuteOutput output) const;
-
-  /// Same, running the parallel kernels on a caller-owned pool
-  /// (nullptr = inline).
-  Result<CrosswalkResult> ExecuteWith(common::ColumnView objective_source,
-                                      common::ThreadPool* pool) const;
+  Result<CrosswalkResult> Execute(
+      common::ColumnView objective_source,
+      ExecuteOutput output = ExecuteOutput::kFullDm) const;
 
   /// Full serving-path entry: output shape plus an optional reusable
   /// workspace (sized per workspace_spec(); grown only if needed, so
@@ -122,6 +113,7 @@ class CrosswalkPlan {
   /// hot-path buffer growth — the `execute.hot_path_allocs` /
   /// `execute.workspace_reuse` counters). A workspace serves one
   /// concurrent execute at a time; nullptr uses a per-call local one.
+  /// The execute is a width-1 panel run inline; `pool` is unused.
   /// Bit-identity: output shape and workspace reuse never change any
   /// produced value — `target_estimates`, `weights`, and `zero_rows`
   /// carry exactly the kFullDm/no-workspace bits.
@@ -130,15 +122,14 @@ class CrosswalkPlan {
                                       ExecuteOutput output,
                                       ExecuteWorkspace* workspace) const;
 
-  /// Executes `count` objective columns as fused column panels
+  /// Executes `count` objective columns as column panels
   /// (aggregates-only): weight learning stays scalar per column, then
   /// one shared-structure traversal per panel serves every lane
-  /// through the vectorized sparse::FusedAggregatesPanel kernel,
-  /// dispatched on the active ISA (sparse/simd/). `results[i]`
-  /// receives column i's result or error — the same per-column
-  /// statuses and exactly the same bits as per-column
-  /// ExecuteWith(kAggregatesOnly) calls, at every panel width, ISA,
-  /// and thread count.
+  /// through sparse::FusedAggregatesPanel, dispatched on the active
+  /// ISA (sparse/simd/). `results[i]` receives column i's result or
+  /// error — the same per-column statuses and exactly the same bits as
+  /// per-column ExecuteWith(kAggregatesOnly) calls, at every panel
+  /// width and ISA.
   ///
   /// `objectives` is an array of `count` borrowed column views and
   /// `results` an array of `count` non-null pointers; `workspace` is
@@ -150,14 +141,13 @@ class CrosswalkPlan {
                         std::optional<Result<CrosswalkResult>>* const* results,
                         size_t count, ExecuteWorkspace* workspace) const;
 
-  /// The serving panel width (columns per ExecutePanelWith call) —
-  /// derived at execute time from the active SIMD ISA, overridable
-  /// with GEOALIGN_PANEL_WIDTH (clamped to [1, simd::kMaxPanelWidth]).
-  /// Deliberately NOT part of the plan or its fingerprint: a PlanCache
-  /// entry compiled under one ISA must execute identically under any
-  /// other, so ExecuteMany asks the plan at execute time instead of
-  /// baking a width into cached state (no serving surface takes a
-  /// caller width).
+  /// The serving panel width (columns per ExecuteMany group) — derived
+  /// at execute time from the active SIMD ISA: 8 for the scalar
+  /// kernels, 16 for a vector ISA. Deliberately NOT part of the plan
+  /// or its fingerprint: a PlanCache entry compiled under one ISA must
+  /// execute identically under any other, so ExecuteMany asks the plan
+  /// at execute time instead of baking a width into cached state (no
+  /// serving surface takes a caller width).
   size_t panel_width() const;
 
   /// Supplies column `i` of ExecuteMany: a view of caller memory, or of
@@ -169,13 +159,12 @@ class CrosswalkPlan {
   /// Executes `count` objective columns over this one plan — the
   /// paper-§6 portal shape, and the single many-column entry behind
   /// CrosswalkPipeline::RealignMany and BatchCrosswalk::Run.
-  ///  - Groups: panel_width() columns per group (one ExecutePanelWith)
-  ///    when `output` is kAggregatesOnly, else one column per group
-  ///    (ExecuteWith).
-  ///  - Pool: groups run concurrently, kernels inline, when `pool` has
-  ///    more than one worker and there is more than one group;
-  ///    otherwise groups run in order and the pool goes to the
-  ///    kernels (nullptr = fully sequential).
+  ///  - Groups: panel_width() columns per group, one
+  ///    sparse::FusedAggregatesPanel call each, for both output shapes
+  ///    (kFullDm panels also emit every lane's DM̂_o).
+  ///  - Pool: groups run concurrently when `pool` has more than one
+  ///    worker and there is more than one group; otherwise they run in
+  ///    order on the calling thread (nullptr = fully sequential).
   ///  - Workspaces: one per concurrently running group, prepared once
   ///    from workspace_spec(), so steady-state groups grow nothing.
   ///  - Each group resolves its own columns through `column_source`
@@ -223,34 +212,14 @@ class CrosswalkPlan {
   Result<linalg::Vector> SolveWeightsNormalized(
       const linalg::Vector& b_normalized) const;
 
-  /// Eq. 14+15-effective-weight prologue shared by both lanes: fills
-  /// the workspace's effective-weight buffer with β_k / normalizer_k.
-  const linalg::Vector& EffectiveWeights(const linalg::Vector& beta,
-                                         ExecuteWorkspace* ws) const;
-
-  /// The materializing lane (kFullDm): WeightedSumAligned →
-  /// DivideRowsOrZero → ScaleRows → [fallback rebuild] →
-  /// ColSumsDeterministic; fills result's estimated_dm /
-  /// target_estimates / zero_rows / timing.
-  Status ExecuteMaterializing(common::ColumnView objective_source,
-                              const linalg::Vector& beta,
-                              common::ThreadPool* pool, ExecuteWorkspace* ws,
-                              CrosswalkResult* result) const;
-
-  /// The fused aggregates-only lane:
-  /// sparse::FusedAggregatesAligned straight into target_estimates.
-  Status ExecuteFusedAggregates(common::ColumnView objective_source,
-                                const linalg::Vector& beta,
-                                common::ThreadPool* pool,
-                                ExecuteWorkspace* ws,
-                                CrosswalkResult* result) const;
-
-  /// One panel (count <= simd::kMaxPanelWidth) of the panel lane:
-  /// per-column weight solves, lane-major weight staging, one
-  /// FusedAggregatesPanel call, per-column result fill.
+  /// One panel (count <= simd::kMaxPanelWidth): per-column weight
+  /// solves, lane-major weight staging, one FusedAggregatesPanel call
+  /// (emitting DM̂_o when `output` is kFullDm), per-column result fill.
+  /// Every execute entry point runs through here.
   void ExecuteOnePanel(const common::ColumnView* objectives,
                        std::optional<Result<CrosswalkResult>>* const* results,
-                       size_t count, ExecuteWorkspace* ws) const;
+                       size_t count, ExecuteWorkspace* ws,
+                       ExecuteOutput output) const;
 
   sparse::PreparedReferenceSet prepared_;
   GeoAlignOptions options_;

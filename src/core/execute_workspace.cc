@@ -3,10 +3,8 @@
 namespace geoalign::core {
 
 void ExecuteWorkspace::Prepare(const ExecuteWorkspaceSpec& spec,
-                               size_t slots) {
-  Reset(effective_weights_, spec.num_references);
-  Reset(denominators_, spec.num_source);
-  fused_.Prepare(spec.fused, slots);
+                               size_t /*slots*/) {
+  PreparePanel(spec, 1);
 }
 
 void ExecuteWorkspace::PreparePanel(const ExecuteWorkspaceSpec& spec,
@@ -27,23 +25,10 @@ void ExecuteWorkspace::PreparePanel(const ExecuteWorkspaceSpec& spec,
   reserve_ptrs(panel_.operand_aggregates, spec.num_references);
   reserve_ptrs(panel_.targets, width);
   reserve_ptrs(panel_.zero_lists, width);
+  reserve_ptrs(panel_.dms, width);
   reserve_ptrs(panel_.lanes, width);
   if (grew) ++alloc_events_;
   fused_.PreparePanel(spec.fused, width);
-}
-
-linalg::Vector& ExecuteWorkspace::EffectiveWeights(size_t n) {
-  return Reset(effective_weights_, n);
-}
-
-linalg::Vector& ExecuteWorkspace::Denominators(size_t n) {
-  return Reset(denominators_, n);
-}
-
-linalg::Vector& ExecuteWorkspace::Reset(linalg::Vector& v, size_t n) {
-  if (v.capacity() < n) ++alloc_events_;
-  v.assign(n, 0.0);
-  return v;
 }
 
 }  // namespace geoalign::core

@@ -10,31 +10,28 @@
 namespace geoalign::core {
 
 /// Per-plan scratch sizing, computed once at `CrosswalkPlan::Compile`
-/// (`CrosswalkPlan::workspace_spec()`). Serving loops that used to
-/// re-resolve scratch sizes on every iteration size their workspace
-/// bank from this instead — nothing about buffer sizes is decided per
-/// call.
+/// (`CrosswalkPlan::workspace_spec()`). Serving loops size their
+/// workspace bank from this instead — nothing about buffer sizes is
+/// decided per call.
 struct ExecuteWorkspaceSpec {
   size_t num_references = 0;
-  size_t num_source = 0;
-  /// Fused-kernel sizing (chunk count, widest row) of the prepared
+  /// Kernel sizing (chunk count, widest row) of the prepared
   /// references' shared structure.
   sparse::FusedWorkspace::Spec fused;
 };
 
-/// Reusable per-execute buffers for `CrosswalkPlan::ExecuteWith`: the
-/// effective-weight and denominator vectors plus the fused kernel's
-/// arena. One workspace serves one concurrent execute at a time;
-/// serving loops keep one per worker slot and reuse it across
-/// objective columns so steady-state executes never grow a buffer.
+/// Reusable per-execute buffers for every `CrosswalkPlan` execute: the
+/// panel staging below plus the Eq. 14/17 kernel's arena. One
+/// workspace serves one concurrent execute at a time; serving loops
+/// keep one per worker slot and reuse it across objective columns so
+/// steady-state executes never grow a buffer.
 ///
-/// alloc_events() counts buffer growth (including the fused arena's)
-/// across the workspace's lifetime; `CrosswalkPlan::ExecuteWith`
-/// reports the per-execute delta as `execute.hot_path_allocs` and
-/// counts zero-growth externally-supplied workspaces as
+/// alloc_events() counts buffer growth (including the kernel arena's)
+/// across the workspace's lifetime; each execute reports its delta as
+/// `execute.hot_path_allocs` and counts a zero-growth execute as
 /// `execute.workspace_reuse` (docs/observability.md). A workspace
-/// passed through Prepare() once reports zero growth for every later
-/// execute of that plan.
+/// prepared once reports zero growth for every later execute of that
+/// plan up to the prepared width.
 class ExecuteWorkspace {
  public:
   ExecuteWorkspace() = default;
@@ -43,55 +40,40 @@ class ExecuteWorkspace {
   ExecuteWorkspace(ExecuteWorkspace&&) = default;
   ExecuteWorkspace& operator=(ExecuteWorkspace&&) = default;
 
-  /// Per-panel serving scratch for CrosswalkPlan::ExecutePanelWith:
-  /// the lane-major effective-weight staging plus the per-lane pointer
-  /// arrays handed to sparse::FusedAggregatesPanel. Sized by
-  /// PreparePanel; reused across panels so the steady-state panel lane
-  /// grows nothing.
+  /// Per-panel scratch: the lane-major effective-weight staging plus
+  /// the per-lane pointer arrays handed to sparse::FusedAggregatesPanel.
   struct PanelScratch {
     std::vector<double> lane_weights;  ///< references × width, lane-major
     std::vector<common::ColumnView> row_scales;
     std::vector<common::ColumnView> operand_aggregates;
     std::vector<linalg::Vector*> targets;
     std::vector<std::vector<size_t>*> zero_lists;
+    std::vector<sparse::CsrMatrix*> dms;
     std::vector<size_t> lanes;  ///< panel-local → caller column index
   };
 
-  /// Eagerly grows every buffer to cover `spec` with `slots`
-  /// concurrently usable fused row-scratch slots (1 when executes run
-  /// inline, pool size + 1 when a pool runs the chunks). Monotonic;
-  /// call once per (plan, pool) to make later executes growth-free.
+  /// Prepares for single-column executes (PreparePanel at width 1).
+  /// `slots` is unused: a single execute runs inline.
   void Prepare(const ExecuteWorkspaceSpec& spec, size_t slots);
 
-  /// Eagerly grows the panel-lane buffers (this scratch plus the fused
-  /// arena's panel arenas) for panels of up to `width` columns.
-  /// Monotonic like Prepare; serving loops call it once at the plan's
-  /// panel width so later panel executes are growth-free.
+  /// Eagerly grows every buffer (this scratch plus the kernel arena)
+  /// for panels of up to `width` columns. Monotonic: serving loops call
+  /// it once at the plan's panel width so later executes are
+  /// growth-free.
   void PreparePanel(const ExecuteWorkspaceSpec& spec, size_t width);
 
-  /// The panel serving scratch (sized by PreparePanel).
+  /// The panel scratch (sized by PreparePanel).
   PanelScratch& panel() { return panel_; }
 
-  /// The effective-weight buffer, reset to `n` zeros (grows only if
-  /// capacity is short).
-  linalg::Vector& EffectiveWeights(size_t n);
-
-  /// The Eq. 14 denominator buffer, reset to `n` zeros.
-  linalg::Vector& Denominators(size_t n);
-
-  /// The fused kernel's buffer arena.
+  /// The Eq. 14/17 kernel's buffer arena.
   sparse::FusedWorkspace& fused() { return fused_; }
 
-  /// Cumulative buffer growth events, fused arena included.
+  /// Cumulative buffer growth events, kernel arena included.
   uint64_t alloc_events() const {
     return alloc_events_ + fused_.alloc_events();
   }
 
  private:
-  linalg::Vector& Reset(linalg::Vector& v, size_t n);
-
-  linalg::Vector effective_weights_;
-  linalg::Vector denominators_;
   sparse::FusedWorkspace fused_;
   PanelScratch panel_;
   uint64_t alloc_events_ = 0;

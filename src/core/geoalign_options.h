@@ -71,8 +71,8 @@ enum class ExecuteOutput {
   /// `CrosswalkResult::estimated_dm` is populated. Default; the only
   /// choice for callers that inspect the DM.
   kFullDm,
-  /// Fused Eq. 14+17: scatter straight into the target accumulator
-  /// without ever allocating DM̂_o. `estimated_dm` comes back empty
+  /// Eq. 14+17 scattered straight into the target accumulator without
+  /// ever allocating DM̂_o. `estimated_dm` comes back empty
   /// (0×0); `target_estimates`, `weights`, `zero_rows`, timing, and
   /// every error path are bit-/behavior-identical to kFullDm.
   kAggregatesOnly,
@@ -92,10 +92,11 @@ struct GeoAlignOptions {
   /// the pointee, so a compiled plan does NOT require the original to
   /// stay alive.)
   const sparse::CsrMatrix* fallback_dm = nullptr;
-  /// Worker threads for the disaggregation (Eq. 14) and re-aggregation
-  /// (Eq. 17) phases: 0 = one per hardware thread, 1 = run inline on
-  /// the calling thread (legacy single-threaded execution). Outputs
-  /// are bit-identical for every value — the parallel kernels use
+  /// Worker threads: 0 = one per hardware thread, 1 = inline on the
+  /// calling thread. Drives the many-column fan-out (BatchCrosswalk,
+  /// whose ExecuteMany groups run concurrently) and the legacy oracle
+  /// CrosswalkUncompiled's row-chunked kernels; a single plan execute
+  /// always runs inline. Outputs are bit-identical for every value —
   /// fixed chunk boundaries and ordered combines (the deterministic-
   /// reduction contract, docs/parallelism.md).
   size_t threads = 0;

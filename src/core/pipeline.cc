@@ -239,19 +239,6 @@ Result<std::vector<CrosswalkResult>> CrosswalkPipeline::RealignMany(
   ColumnsPerBatch().Record(static_cast<double>(objectives.size()));
   ColumnsTotal().Add(objectives.size());
 
-  // With an outer pool, an interpolator that would itself spawn a pool
-  // per crosswalk (GeoAlign with threads != 1) would oversubscribe the
-  // machine; clone it in inline mode — the deterministic kernels make
-  // this a pure scheduling change, never a numeric one.
-  std::shared_ptr<const Interpolator> method = method_;
-  if (pool != nullptr) {
-    if (const auto* ga = dynamic_cast<const GeoAlign*>(method_.get())) {
-      GeoAlignOptions inline_options = ga->options();
-      inline_options.threads = 1;
-      method = std::make_shared<GeoAlign>(inline_options);
-    }
-  }
-
   std::vector<std::optional<Result<CrosswalkResult>>> results(
       objectives.size());
   common::ParallelForChunks(pool.get(), objectives.size(), [&](size_t i) {
@@ -269,7 +256,7 @@ Result<std::vector<CrosswalkResult>> CrosswalkPipeline::RealignMany(
     // Per-call fallback for interpolators without a compiled-plan form
     // (see Realign).
     results[i].emplace(
-        method->Crosswalk(input));  // NOLINT(geoalign-plan-bypass)
+        method_->Crosswalk(input));  // NOLINT(geoalign-plan-bypass)
     RealignLatencyUs().Record(column_watch.ElapsedMicros());
   });
 

@@ -43,8 +43,8 @@ struct PlanCacheStats {
 /// `GeoAlignOptions::threads` is deliberately excluded: execution
 /// results are bit-identical for every thread count (the
 /// deterministic-reduction contract), so plans are shared across
-/// thread configurations; use `Execute(obj, threads)`/`ExecuteWith`
-/// when the cached plan's default should be overridden.
+/// thread configurations (a plan execute runs inline; only
+/// ExecuteMany's caller-supplied pool fans out).
 ///
 /// Compilation runs outside the cache lock; when two threads miss the
 /// same key concurrently, both compile and the first insert wins (the

@@ -27,7 +27,7 @@
 // Dump format: one JSON object per line.
 //   {"type":"header","reason":"demand|fatal|signal","in_flight":[ids]}
 //   {"type":"audit","seq":N,"request_id":"...","request_seq":N,
-//    "fingerprint":"0x...","mode":"fused|materializing|panel",
+//    "fingerprint":"0x...","mode":"panel|panel_dm",
 //    "panel_width":N,"isa":N,"rows":N,"latency_us":N,"zero_rows":N,
 //    "fallback":N,"ok":0|1}
 //   {"type":"metrics", ...one-line MetricsSnapshot JSON...}
@@ -42,9 +42,9 @@ struct AuditRecord {
   uint64_t request_seq = 0;  ///< RequestToken::seq active at Record time
   char request_id[RequestToken::kMaxIdLength + 1] = {0};
   uint64_t plan_fingerprint = 0;
-  char mode[16] = {0};     ///< "fused", "materializing", or "panel"
-  uint32_t panel_width = 0;  ///< 0 outside the panel lane
-  uint32_t isa = 0;          ///< sparse::simd ISA ordinal (panel lane)
+  char mode[16] = {0};     ///< "panel" (aggregates) or "panel_dm" (kFullDm)
+  uint32_t panel_width = 0;  ///< columns that reached the kernel
+  uint32_t isa = 0;          ///< sparse::simd ISA ordinal
   uint64_t rows = 0;         ///< source units touched
   uint64_t latency_us = 0;
   uint64_t zero_rows = 0;

@@ -10,18 +10,6 @@
 
 namespace geoalign::sparse {
 
-namespace {
-
-// Per-chunk / per-slot slices are padded to a cache line (8 doubles)
-// so concurrent chunks never false-share a line of the arena.
-constexpr size_t kLineDoubles = 8;
-
-size_t PadStride(size_t n) {
-  return (n + (kLineDoubles - 1)) & ~(kLineDoubles - 1);
-}
-
-}  // namespace
-
 FusedWorkspace::Spec FusedWorkspace::ComputeSpec(const CsrMatrix& structure,
                                                  size_t num_operands) {
   Spec spec;
@@ -35,61 +23,11 @@ FusedWorkspace::Spec FusedWorkspace::ComputeSpec(const CsrMatrix& structure,
   return spec;
 }
 
-void FusedWorkspace::Prepare(const Spec& spec, size_t slots) {
-  slots = std::max<size_t>(1, slots);
-
-  // Chunk boundaries depend only on the row count (the deterministic-
-  // reduction contract), so they are recomputed only when it changes —
-  // the "hoist per-call scratch sizing into the plan-compiled spec"
-  // rule: a workspace prepared for one plan re-resolves nothing.
-  if (chunk_rows_ != spec.rows || (spec.rows != 0 && chunks_.empty())) {
-    ++alloc_events_;
-    chunks_ = common::DeterministicChunks(spec.rows, kColSumGrain);
-    chunk_rows_ = spec.rows;
-  }
-
-  partial_stride_ = PadStride(spec.cols);
-  size_t need_partials = chunks_.size() * partial_stride_;
-  if (partials_.size() < need_partials) {
-    ++alloc_events_;
-    partials_.resize(need_partials);
-  }
-
-  scratch_stride_ = PadStride(spec.max_row_nnz);
-  size_t need_scratch = slots * scratch_stride_;
-  if (row_scratch_.size() < need_scratch) {
-    ++alloc_events_;
-    row_scratch_.resize(need_scratch);
-  }
-  slots_ = std::max(slots_, slots);
-
-  if (chunk_zero_.size() < chunks_.size()) {
-    ++alloc_events_;
-    chunk_zero_.resize(chunks_.size());
-  }
-  bool grew_zero_lists = false;
-  for (size_t ci = 0; ci < chunks_.size(); ++ci) {
-    size_t chunk_rows = chunks_[ci].end - chunks_[ci].begin;
-    if (chunk_zero_[ci].capacity() < chunk_rows) {
-      grew_zero_lists = true;
-      chunk_zero_[ci].reserve(chunk_rows);
-    }
-  }
-  if (grew_zero_lists) ++alloc_events_;
-
-  if (active_values_.capacity() < spec.max_operands ||
-      active_weights_.capacity() < spec.max_operands) {
-    ++alloc_events_;
-    active_values_.reserve(spec.max_operands);
-    active_weights_.reserve(spec.max_operands);
-  }
-}
-
 void FusedWorkspace::PreparePanel(const Spec& spec, size_t width) {
   width = std::min(std::max<size_t>(1, width), simd::kMaxPanelWidth);
 
-  // The chunk grid is shared with the single-column kernel (and
-  // recomputed only when the row count changes).
+  // Chunk boundaries depend only on the row count (the deterministic-
+  // reduction contract), so they are recomputed only when it changes.
   if (chunk_rows_ != spec.rows || (spec.rows != 0 && chunks_.empty())) {
     ++alloc_events_;
     chunks_ = common::DeterministicChunks(spec.rows, kColSumGrain);
@@ -115,198 +53,19 @@ void FusedWorkspace::PreparePanel(const Spec& spec, size_t width) {
     panel_zero_.reserve(spec.rows);
   }
   if (active_values_.capacity() < spec.max_operands ||
-      active_weights_.capacity() < spec.max_operands ||
       active_aggs_.capacity() < spec.max_operands) {
     ++alloc_events_;
     active_values_.reserve(spec.max_operands);
-    active_weights_.reserve(spec.max_operands);
     active_aggs_.reserve(spec.max_operands);
   }
-}
-
-Status FusedAggregatesAligned(const FusedAggregatesInputs& in,
-                              const FusedWorkspace::Spec& spec,
-                              linalg::Vector* target_estimates,
-                              std::vector<size_t>* zero_rows,
-                              FusedWorkspace* workspace,
-                              common::ThreadPool* pool) {
-  if (in.mats == nullptr || in.weights == nullptr ||
-      in.row_scale.data() == nullptr || target_estimates == nullptr ||
-      zero_rows == nullptr || workspace == nullptr) {
-    return Status::InvalidArgument("FusedAggregatesAligned: null argument");
-  }
-  const std::vector<const CsrMatrix*>& mats = *in.mats;
-  if (mats.empty()) {
-    return Status::InvalidArgument("FusedAggregatesAligned: no matrices");
-  }
-  if (mats.size() != in.weights->size()) {
-    return Status::InvalidArgument(
-        "FusedAggregatesAligned: weight count mismatch");
-  }
-  size_t rows = mats[0]->rows();
-  size_t cols = mats[0]->cols();
-  for (const CsrMatrix* m : mats) {
-    if (m->rows() != rows || m->cols() != cols) {
-      return Status::InvalidArgument(
-          "FusedAggregatesAligned: shape mismatch");
-    }
-    // Full structure equality is the caller's precondition (checked
-    // once at plan-compile time); re-verify only in debug builds.
-    GEOALIGN_DCHECK(m->row_ptr() == mats[0]->row_ptr() &&
-                    m->col_idx() == mats[0]->col_idx())
-        << "FusedAggregatesAligned: sparsity structures differ";
-  }
-  if (in.row_scale.size() != rows ||
-      (in.denominators != nullptr && in.denominators->size() != rows)) {
-    return Status::InvalidArgument(
-        "FusedAggregatesAligned: vector length mismatch");
-  }
-  if ((in.fallback_dm == nullptr) != (in.fallback_row_sums == nullptr)) {
-    return Status::InvalidArgument(
-        "FusedAggregatesAligned: fallback DM and row sums must be set "
-        "together");
-  }
-  if (in.fallback_dm != nullptr &&
-      (in.fallback_dm->rows() != rows || in.fallback_dm->cols() != cols ||
-       in.fallback_row_sums->size() != rows)) {
-    return Status::InvalidArgument(
-        "FusedAggregatesAligned: fallback shape mismatch");
-  }
-  if (spec.rows != rows || spec.cols != cols ||
-      spec.max_operands < mats.size()) {
-    return Status::InvalidArgument(
-        "FusedAggregatesAligned: workspace spec does not cover operands");
-  }
-
-  FusedWorkspace& ws = *workspace;
-  const bool pooled = pool != nullptr && pool->size() > 1;
-  ws.Prepare(spec, pooled ? pool->size() + 1 : 1);
-
-  // Operands the scatter-gather path would skip entirely — the same
-  // filtering as WeightedSumAligned, staged in preallocated arrays.
-  ws.active_values_.clear();
-  ws.active_weights_.clear();
-  for (size_t mi = 0; mi < mats.size(); ++mi) {
-    if (ExactlyZero((*in.weights)[mi])) continue;
-    ws.active_values_.push_back(mats[mi]->values().data());
-    ws.active_weights_.push_back((*in.weights)[mi]);
-  }
-  const size_t n_active = ws.active_values_.size();
-  const double* const* active_vals = ws.active_values_.data();
-  const double* active_w = ws.active_weights_.data();
-
-  common::ConstSpan<size_t> row_ptr = mats[0]->row_ptr();
-  common::ConstSpan<size_t> col_idx = mats[0]->col_idx();
-  const std::vector<common::ChunkRange>& chunks = ws.chunks_;
-
-  // GEOALIGN_HOT_LOOP_BEGIN
-  // The fused Eq. 14 + Eq. 17 scatter. Zero heap allocations in this
-  // region (machine-checked by the geoalign-hot-alloc lint): every
-  // buffer was sized by Prepare above. Chunking is kColSumGrain — the
-  // ColSumsDeterministic boundaries — so the per-target addition order
-  // is exactly the materializing path's.
-  common::ParallelForChunks(pool, chunks.size(), [&](size_t ci) {
-    const common::ChunkRange& range = chunks[ci];
-    size_t wi = common::ThreadPool::CurrentWorkerIndex();
-    size_t slot =
-        (!pooled || wi == common::ThreadPool::kNoWorkerIndex) ? 0 : wi + 1;
-    GEOALIGN_DCHECK(slot < ws.slots_) << "fused execute: slot out of range";
-    double* scratch = ws.row_scratch_.data() + slot * ws.scratch_stride_;
-    double* part = ws.partials_.data() + ci * ws.partial_stride_;
-    std::fill(part, part + cols, 0.0);
-    std::vector<size_t>& zrows = ws.chunk_zero_[ci];
-    zrows.clear();
-    for (size_t r = range.begin; r < range.end; ++r) {
-      const size_t rb = row_ptr[r];
-      const size_t re = row_ptr[r + 1];
-      // Eq. 14 numerator: accumulate per entry in operand order from
-      // 0.0 — WeightedSumAligned's addition sequence, into the row
-      // scratch instead of a materialized CSR.
-      double denom;
-      if (in.denominators != nullptr) {
-        denom = (*in.denominators)[r];
-        for (size_t k = rb; k < re; ++k) {
-          double acc = 0.0;
-          for (size_t mi = 0; mi < n_active; ++mi) {
-            acc += active_w[mi] * active_vals[mi][k];
-          }
-          scratch[k - rb] = acc;
-        }
-      } else {
-        // kFromDmRowSums: the materializing path prunes exact-zero
-        // numerator entries before RowSums, so the row sum here skips
-        // them too.
-        double row_sum = 0.0;
-        for (size_t k = rb; k < re; ++k) {
-          double acc = 0.0;
-          for (size_t mi = 0; mi < n_active; ++mi) {
-            acc += active_w[mi] * active_vals[mi][k];
-          }
-          scratch[k - rb] = acc;
-          if (!ExactlyZero(acc)) row_sum += acc;
-        }
-        denom = row_sum;
-      }
-      if (std::fabs(denom) <= in.zero_tolerance) {
-        // Eq. 14's "otherwise 0" branch: record the zero row; with a
-        // fallback DM, scatter the fallback row directly (the
-        // CooBuilder rebuild of the materializing path, minus the
-        // rebuild — CooBuilder::Build drops exact zeros, and adding
-        // ±0.0 to a +0.0-seeded partial never changes a bit).
-        // Capacity was reserved to the chunk's row count in Prepare,
-        // so this never grows.
-        zrows.push_back(r);  // NOLINT(geoalign-hot-alloc)
-        if (in.fallback_dm != nullptr) {
-          double fb_sum = (*in.fallback_row_sums)[r];
-          if (fb_sum > 0.0) {
-            double fb_scale = in.row_scale[r] / fb_sum;
-            CsrMatrix::RowView fb_row = in.fallback_dm->Row(r);
-            for (size_t k = 0; k < fb_row.size; ++k) {
-              part[fb_row.cols[k]] += fb_row.values[k] * fb_scale;
-            }
-          }
-        }
-        continue;
-      }
-      const double inv = 1.0 / denom;           // DivideRowsOrZero
-      const double rscale = in.row_scale[r];    // ScaleRows
-      for (size_t k = rb; k < re; ++k) {
-        const double acc = scratch[k - rb];
-        if (ExactlyZero(acc)) continue;  // pruned by WeightedSumAligned
-        // Entries DivideRowsOrZero's Prune(0.0) would drop divide to
-        // exact ±0.0 here; scattering them is a bit-neutral no-op (the
-        // partial accumulates from +0.0 and IEEE addition of ±0.0 to
-        // it is the identity), so no branch is needed.
-        part[col_idx[k]] += (acc * inv) * rscale;
-      }
-    }
-  });
-  // GEOALIGN_HOT_LOOP_END
-
-  // Ordered combine — ColSumsDeterministic's reduction verbatim: the
-  // per-chunk partials added into a +0.0 accumulator in ascending
-  // chunk index.
-  target_estimates->assign(cols, 0.0);
-  double* target = target_estimates->data();
-  for (size_t ci = 0; ci < chunks.size(); ++ci) {
-    const double* part = ws.partials_.data() + ci * ws.partial_stride_;
-    for (size_t c = 0; c < cols; ++c) target[c] += part[c];
-  }
-
-  // Chunks are in ascending row order, so concatenation matches the
-  // sequential zero-row reporting order.
-  zero_rows->clear();
-  for (const std::vector<size_t>& z : ws.chunk_zero_) {
-    zero_rows->insert(zero_rows->end(), z.begin(), z.end());
-  }
-  return Status::OK();
 }
 
 Status FusedAggregatesPanel(const FusedPanelInputs& in,
                             const FusedWorkspace::Spec& spec, simd::Isa isa,
                             linalg::Vector* const* target_estimates,
                             std::vector<size_t>* const* zero_rows,
-                            FusedWorkspace* workspace) {
+                            FusedWorkspace* workspace,
+                            CsrMatrix* const* estimated_dms) {
   if (in.mats == nullptr || in.lane_weights == nullptr ||
       in.row_scales == nullptr || target_estimates == nullptr ||
       zero_rows == nullptr || workspace == nullptr) {
@@ -334,7 +93,8 @@ Status FusedAggregatesPanel(const FusedPanelInputs& in,
   for (size_t p = 0; p < width; ++p) {
     if (in.row_scales[p].data() == nullptr ||
         in.row_scales[p].size() != rows || target_estimates[p] == nullptr ||
-        zero_rows[p] == nullptr) {
+        zero_rows[p] == nullptr ||
+        (estimated_dms != nullptr && estimated_dms[p] == nullptr)) {
       return Status::InvalidArgument(
           "FusedAggregatesPanel: bad per-lane argument");
     }
@@ -372,20 +132,13 @@ Status FusedAggregatesPanel(const FusedPanelInputs& in,
   // Active operands: any lane nonzero. An operand that is zero in one
   // lane but live in another stays; its ±0.0 products are the IEEE
   // identity on that lane's +0.0-seeded accumulators, so per-lane bits
-  // still match the per-column kernel's active-set filtering.
+  // still match the legacy per-column active-set filtering.
   ws.active_values_.clear();
   ws.active_aggs_.clear();
   size_t n_active = 0;
   for (size_t mi = 0; mi < mats.size(); ++mi) {
     const double* lanes = in.lane_weights + mi * width;
-    bool any = false;
-    for (size_t p = 0; p < width; ++p) {
-      if (!ExactlyZero(lanes[p])) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) continue;
+    if (std::all_of(lanes, lanes + width, ExactlyZero)) continue;
     ws.active_values_.push_back(mats[mi]->values().data());
     if (in.operand_aggregates != nullptr) {
       ws.active_aggs_.push_back(in.operand_aggregates[mi].data());
@@ -412,51 +165,51 @@ Status FusedAggregatesPanel(const FusedPanelInputs& in,
 
   std::fill(accum, accum + cols * width, 0.0);
 
+  // Per-lane DM̂_o arrays, reserved for the most a lane can emit (every
+  // structure entry plus every fallback entry) so the emit below never
+  // reallocates.
+  struct LaneDm {
+    std::vector<size_t> row_ptr, col_idx;
+    std::vector<double> values;
+  };
+  std::vector<LaneDm> dm(estimated_dms != nullptr ? width : 0);
+  const size_t dm_cap =
+      mats[0]->nnz() + (in.fallback_dm != nullptr ? in.fallback_dm->nnz() : 0);
+  for (LaneDm& d : dm) {
+    d.row_ptr.assign(rows + 1, 0);
+    d.col_idx.reserve(dm_cap);
+    d.values.reserve(dm_cap);
+  }
+
   // GEOALIGN_HOT_LOOP_BEGIN
-  // The panel form of the fused Eq. 14 + Eq. 17 scatter. Zero heap
-  // allocations in this region (machine-checked); every buffer was
-  // sized by PreparePanel. One thread walks the kColSumGrain chunks in
+  // The Eq. 14 + Eq. 17 scatter. Zero heap allocations in this region
+  // (machine-checked); every buffer was sized by PreparePanel or
+  // reserved above. One thread walks the kColSumGrain chunks in
   // ascending order and folds each chunk's cols × width partial into
-  // the accumulator — per lane, the exact chunk-partial addition order
-  // of the pooled single-column kernel, independent of thread count.
+  // the accumulator — per lane, ColSumsDeterministic's chunk-partial
+  // addition order, independent of thread count.
   for (size_t ci = 0; ci < chunks.size(); ++ci) {
     const common::ChunkRange& range = chunks[ci];
     std::fill(part, part + cols * width, 0.0);
     for (size_t r = range.begin; r < range.end; ++r) {
       const size_t rb = row_ptr[r];
       const size_t re = row_ptr[r + 1];
-      // Eq. 14 numerator, all lanes at once: per entry, broadcast the
-      // operand value against the per-lane weights in operand order
-      // from 0.0 — each lane replays WeightedSumAligned's sequence.
+      // Eq. 14 numerator, all lanes at once: per entry, the operand
+      // values against the per-lane weights in operand order from 0.0.
+      for (size_t k = rb; k < re; ++k) {
+        kern.weighted_entry(scratch + (k - rb) * width, panel_w, active_vals,
+                            k, n_active, width);
+      }
       if (in.operand_aggregates != nullptr) {
         // kFromAggregates: each lane's denominator accumulates the
-        // operand aggregates in the same order (the hoisted
-        // linalg::Axpy loop, per row).
-        std::fill(denom, denom + width, 0.0);
-        for (size_t mi = 0; mi < n_active; ++mi) {
-          kern.axpy_broadcast(denom, panel_w + mi * width, active_aggs[mi][r],
-                              width);
-        }
-        for (size_t k = rb; k < re; ++k) {
-          double* acc = scratch + (k - rb) * width;
-          std::fill(acc, acc + width, 0.0);
-          for (size_t mi = 0; mi < n_active; ++mi) {
-            kern.axpy_broadcast(acc, panel_w + mi * width,
-                                active_vals[mi][k], width);
-          }
-        }
+        // operand aggregates in the same order.
+        kern.weighted_entry(denom, panel_w, active_aggs, r, n_active, width);
       } else {
         // kFromDmRowSums: row sums skip exact-zero numerator entries,
-        // as the materializing path prunes them before RowSums.
+        // which the legacy path prunes before RowSums.
         std::fill(denom, denom + width, 0.0);
         for (size_t k = rb; k < re; ++k) {
-          double* acc = scratch + (k - rb) * width;
-          std::fill(acc, acc + width, 0.0);
-          for (size_t mi = 0; mi < n_active; ++mi) {
-            kern.axpy_broadcast(acc, panel_w + mi * width,
-                                active_vals[mi][k], width);
-          }
-          kern.masked_add(denom, acc, width);
+          kern.masked_add(denom, scratch + (k - rb) * width, width);
         }
       }
       for (size_t p = 0; p < width; ++p) rscale[p] = in.row_scales[p][r];
@@ -469,36 +222,58 @@ Status FusedAggregatesPanel(const FusedPanelInputs& in,
           kern.scatter_scaled(part + col_idx[k] * width,
                               scratch + (k - rb) * width, inv, rscale, width);
         }
-        continue;
-      }
-      // At least one lane hit the Eq. 14 "otherwise 0" branch: record
-      // the lane set (capacity reserved to spec.rows in PreparePanel),
-      // then finish the row per lane — zero lanes take the fallback
-      // scatter, live lanes the scalar divide + scatter, both exactly
-      // the single-column kernel's code.
-      ws.panel_zero_.push_back(  // NOLINT(geoalign-hot-alloc)
-          FusedWorkspace::PanelZeroRow{r, zmask});
-      for (size_t p = 0; p < width; ++p) {
-        if ((zmask >> p) & 1u) {
-          if (in.fallback_dm != nullptr) {
+      } else {
+        // At least one lane hit the Eq. 14 "otherwise 0" branch: record
+        // the lane set (capacity reserved to spec.rows in PreparePanel),
+        // then finish the row per lane — zero lanes take the fallback
+        // scatter, live lanes the scalar divide + scatter.
+        ws.panel_zero_.push_back(  // NOLINT(geoalign-hot-alloc)
+            FusedWorkspace::PanelZeroRow{r, zmask});
+        for (size_t p = 0; p < width; ++p) {
+          if ((zmask >> p) & 1u) {
+            if (in.fallback_dm == nullptr) continue;
             double fb_sum = (*in.fallback_row_sums)[r];
-            if (fb_sum > 0.0) {
-              double fb_scale = rscale[p] / fb_sum;
-              CsrMatrix::RowView fb_row = in.fallback_dm->Row(r);
-              for (size_t k = 0; k < fb_row.size; ++k) {
-                part[fb_row.cols[k] * width + p] +=
-                    fb_row.values[k] * fb_scale;
-              }
+            if (fb_sum <= 0.0) continue;
+            double fb_scale = rscale[p] / fb_sum;
+            CsrMatrix::RowView fb_row = in.fallback_dm->Row(r);
+            for (size_t k = 0; k < fb_row.size; ++k) {
+              part[fb_row.cols[k] * width + p] += fb_row.values[k] * fb_scale;
             }
+            continue;
           }
-          continue;
+          inv[p] = 1.0 / denom[p];
+          for (size_t k = rb; k < re; ++k) {
+            const double acc = scratch[(k - rb) * width + p];
+            if (ExactlyZero(acc)) continue;
+            part[col_idx[k] * width + p] += (acc * inv[p]) * rscale[p];
+          }
         }
-        const double lane_inv = 1.0 / denom[p];
-        for (size_t k = rb; k < re; ++k) {
-          const double acc = scratch[(k - rb) * width + p];
-          if (ExactlyZero(acc)) continue;
-          part[col_idx[k] * width + p] += (acc * lane_inv) * rscale[p];
+      }
+
+      // DM̂_o emit, lane by lane, with the same products as the scatter.
+      // Capacity was reserved to dm_cap above, so push_back never grows.
+      for (size_t p = 0; p < dm.size(); ++p) {
+        LaneDm& d = dm[p];
+        if (((zmask >> p) & 1u) == 0) {
+          for (size_t k = rb; k < re; ++k) {
+            const double acc = scratch[(k - rb) * width + p];
+            if (ExactlyZero(acc)) continue;  // the WeightedSum prune
+            const double q = acc * inv[p];
+            if (!(std::fabs(q) > 0.0)) continue;  // DivideRowsOrZero's
+            d.col_idx.push_back(col_idx[k]);  // NOLINT(geoalign-hot-alloc)
+            d.values.push_back(q * rscale[p]);  // NOLINT(geoalign-hot-alloc)
+          }
+        } else if (in.fallback_dm != nullptr &&
+                   (*in.fallback_row_sums)[r] > 0.0) {
+          const double fb_scale = rscale[p] / (*in.fallback_row_sums)[r];
+          CsrMatrix::RowView fb_row = in.fallback_dm->Row(r);
+          for (size_t k = 0; k < fb_row.size; ++k) {
+            d.col_idx.push_back(fb_row.cols[k]);  // NOLINT(geoalign-hot-alloc)
+            d.values.push_back(  // NOLINT(geoalign-hot-alloc)
+                fb_row.values[k] * fb_scale);
+          }
         }
+        d.row_ptr[r + 1] = d.col_idx.size();
       }
     }
     kern.add(accum, part, cols * width);
@@ -517,6 +292,31 @@ Status FusedAggregatesPanel(const FusedPanelInputs& in,
     for (size_t p = 0; p < width; ++p) {
       if ((z.lanes >> p) & 1u) zero_rows[p]->push_back(z.row);
     }
+  }
+
+  for (size_t p = 0; p < dm.size(); ++p) {
+    LaneDm& d = dm[p];
+    if (in.fallback_dm != nullptr && !zero_rows[p]->empty()) {
+      // The legacy path rebuilds a lane with fallback rows through
+      // CooBuilder, whose Build drops every exact zero.
+      size_t out = 0;
+      size_t begin = 0;
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t k = begin; k < d.row_ptr[r + 1]; ++k) {
+          if (ExactlyZero(d.values[k])) continue;
+          d.col_idx[out] = d.col_idx[k];
+          d.values[out++] = d.values[k];
+        }
+        begin = d.row_ptr[r + 1];
+        d.row_ptr[r + 1] = out;
+      }
+      d.col_idx.resize(out);
+      d.values.resize(out);
+    }
+    GEOALIGN_ASSIGN_OR_RETURN(
+        *estimated_dms[p],
+        CsrMatrix::FromCsrArrays(rows, cols, std::move(d.row_ptr),
+                                 std::move(d.col_idx), std::move(d.values)));
   }
   return Status::OK();
 }

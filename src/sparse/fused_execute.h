@@ -11,15 +11,14 @@
 
 namespace geoalign::sparse {
 
-/// Reusable buffers for FusedAggregatesAligned: per-chunk partial
-/// target vectors, per-chunk zero-row lists, per-slot row scratch, and
-/// the active-operand staging arrays. One workspace serves one
-/// concurrent execute at a time; serving loops keep one per worker
-/// slot and reuse it across columns so the steady-state kernel never
-/// touches the heap.
+/// Reusable buffers for FusedAggregatesPanel: the chunk grid, the
+/// lane-major panel arenas, and the active-operand staging arrays. One
+/// workspace serves one concurrent execute at a time; serving loops
+/// keep one per worker slot and reuse it across panels so the
+/// steady-state kernel never touches the heap.
 ///
-/// Prepare() grows buffers monotonically and counts every buffer that
-/// actually grew in alloc_events() — the source of the
+/// PreparePanel() grows buffers monotonically and counts every buffer
+/// that actually grew in alloc_events() — the source of the
 /// `execute.hot_path_allocs` counter (docs/observability.md). A
 /// workspace prepared once for a plan's Spec reports zero further
 /// events for every later execute of that plan.
@@ -44,31 +43,23 @@ class FusedWorkspace {
   FusedWorkspace(FusedWorkspace&&) = default;
   FusedWorkspace& operator=(FusedWorkspace&&) = default;
 
-  /// Ensures every buffer covers `spec` with `slots` concurrently
-  /// usable row-scratch slots (1 for inline execution, pool size + 1
-  /// when a pool runs the chunks). Monotonic: buffers never shrink.
-  void Prepare(const Spec& spec, size_t slots);
-
   /// Ensures the column-panel buffers cover `spec` at panel width
-  /// `width` (clamped to [1, simd::kMaxPanelWidth]). Monotonic like
-  /// Prepare; the panel arenas are sized cols × width and
+  /// `width` (clamped to [1, simd::kMaxPanelWidth]). Monotonic: buffers
+  /// never shrink; the panel arenas are sized cols × width and
   /// max_row_nnz × width doubles, so serving loops prepare once at the
   /// plan's panel width and every later panel execute is growth-free.
   void PreparePanel(const Spec& spec, size_t width);
 
-  /// Cumulative count of buffer growth events across every Prepare.
+  /// Cumulative count of buffer growth events across every PreparePanel.
   uint64_t alloc_events() const { return alloc_events_; }
 
  private:
-  friend Status FusedAggregatesAligned(
-      const struct FusedAggregatesInputs& in, const Spec& spec,
-      linalg::Vector* target_estimates, std::vector<size_t>* zero_rows,
-      FusedWorkspace* workspace, common::ThreadPool* pool);
   friend Status FusedAggregatesPanel(const struct FusedPanelInputs& in,
                                      const Spec& spec, simd::Isa isa,
                                      linalg::Vector* const* target_estimates,
                                      std::vector<size_t>* const* zero_rows,
-                                     FusedWorkspace* workspace);
+                                     FusedWorkspace* workspace,
+                                     CsrMatrix* const* estimated_dms);
 
   /// One row whose denominator fell below tolerance in at least one
   /// panel lane; bit p of `lanes` marks the affected lanes.
@@ -78,32 +69,19 @@ class FusedWorkspace {
   };
 
   // Chunk boundaries for spec.rows at kColSumGrain — fixed per plan,
-  // so they are computed in Prepare, not per execute.
+  // so they are computed in PreparePanel, not per execute.
   std::vector<common::ChunkRange> chunks_;
   size_t chunk_rows_ = 0;  ///< rows the chunks_ cover
 
-  // Flat per-chunk partial target arena; slices are padded to a cache
-  // line (8 doubles) so concurrent chunks never false-share.
-  std::vector<double> partials_;
-  size_t partial_stride_ = 0;
-
-  // Flat per-slot row scratch (numerator accumulators), same padding.
-  std::vector<double> row_scratch_;
-  size_t scratch_stride_ = 0;
-  size_t slots_ = 0;
-
-  // Per-chunk zero-row lists, each reserved to its chunk's row count.
-  std::vector<std::vector<size_t>> chunk_zero_;
-
-  // Active-operand staging (value arrays + weights of the operands the
-  // materializing kernel would keep).
+  // Active-operand staging: the value (and kFromAggregates aggregate)
+  // arrays of the operands live in at least one lane.
   std::vector<const double*> active_values_;
-  std::vector<double> active_weights_;
+  std::vector<const double*> active_aggs_;
 
-  // --- Column-panel arenas (PreparePanel; lane-major layout: the
-  // doubles of one logical cell's `width` lanes are contiguous). The
-  // panel kernel walks its chunks sequentially on one thread, so one
-  // partial + one accumulator per workspace suffice.
+  // Panel arenas, lane-major: the doubles of one logical cell's
+  // `width` lanes are contiguous. The kernel walks its chunks
+  // sequentially on one thread, so one partial + one accumulator per
+  // workspace suffice.
   size_t panel_width_ = 0;                 ///< prepared lane capacity
   std::vector<double> panel_scratch_;      ///< max_row_nnz × width
   std::vector<double> panel_partial_;      ///< cols × width (per chunk)
@@ -111,78 +89,22 @@ class FusedWorkspace {
   std::vector<double> panel_weights_;      ///< active ops × width
   std::vector<double> panel_row_;          ///< denom/inv/rscale, 3 × width
   std::vector<PanelZeroRow> panel_zero_;   ///< reserved to spec.rows
-  std::vector<const double*> active_aggs_; ///< kFromAggregates operands
 
   uint64_t alloc_events_ = 0;
 };
 
-/// Inputs of the fused Eq. 14 + Eq. 17 pass. All pointers are borrowed
-/// and must outlive the call; `mats` must be non-empty matrices
-/// sharing one CSR structure (the PreparedReferenceSet "aligned"
-/// case).
-struct FusedAggregatesInputs {
-  /// Aligned operand matrices (the raw reference DMs).
-  const std::vector<const CsrMatrix*>* mats = nullptr;
-  /// Effective per-operand weights β_k / normalizer_k (exact zeros are
-  /// skipped, as in WeightedSumAligned).
-  const linalg::Vector* weights = nullptr;
-  /// Per-row Eq. 14 denominators (DenominatorMode::kFromAggregates);
-  /// null means "row sums of the weighted numerator"
-  /// (DenominatorMode::kFromDmRowSums).
-  const linalg::Vector* denominators = nullptr;
-  /// Rows with |denominator| <= zero_tolerance are zero rows.
-  double zero_tolerance = 0.0;
-  /// Per-row scale a^s_o (the objective column), as a borrowed view —
-  /// caller memory flows straight into the kernel. Required (a
-  /// default-constructed view is rejected).
-  common::ColumnView row_scale;
-  /// Optional zero-row fallback DM (same shape as the operands) and
-  /// its precomputed row sums; both set or both null. Zero rows with
-  /// positive fallback support scatter row_scale[r]/fallback_sums[r]
-  /// times the fallback row instead of vanishing.
-  const CsrMatrix* fallback_dm = nullptr;
-  const linalg::Vector* fallback_row_sums = nullptr;
-};
-
-/// One fused pass over the shared structure: accumulates the
-/// β-weighted numerator per entry (Eq. 14 numerator), applies the
-/// per-row denominator and the objective row scale, and scatters
-/// directly into per-chunk partial target vectors that are combined in
-/// chunk-index order (Eq. 17) — without ever materializing the
-/// estimated DM.
-///
-/// Bit-identity contract: `target_estimates` and `zero_rows` carry
-/// exactly the bits of the materializing pipeline
-///   WeightedSumAligned → RowSums/denominators → DivideRowsOrZero →
-///   ScaleRows → [zero-row fallback rebuild] → ColSumsDeterministic
-/// for every pool size, because the scatter reuses the column-sum
-/// chunking (kColSumGrain) and every per-entry/per-row operation
-/// replays the materializing kernels' arithmetic in the same order.
-/// (Entries those kernels prune are exact ±0.0 here; adding them to a
-/// partial that accumulates from +0.0 can never flip a bit, so
-/// skipping the materialization is bit-neutral.)
-///
-/// `spec` is the plan-compiled sizing (FusedWorkspace::ComputeSpec of
-/// the shared structure); `workspace` must be non-null and is prepared
-/// (grown only if needed) internally.
-Status FusedAggregatesAligned(const FusedAggregatesInputs& in,
-                              const FusedWorkspace::Spec& spec,
-                              linalg::Vector* target_estimates,
-                              std::vector<size_t>* zero_rows,
-                              FusedWorkspace* workspace,
-                              common::ThreadPool* pool = nullptr);
-
-/// Inputs of the column-panel fused pass: `width` objective columns
+/// Inputs of the Eq. 14 + Eq. 17 pass: `width` objective columns
 /// (1..simd::kMaxPanelWidth) executed against one shared CSR traversal.
 /// All pointers are borrowed and must outlive the call.
 struct FusedPanelInputs {
-  /// Aligned operand matrices (the raw reference DMs).
+  /// Operand matrices sharing one CSR structure (the raw reference
+  /// DMs of a PreparedReferenceSet).
   const std::vector<const CsrMatrix*>* mats = nullptr;
   /// Lane-major effective weights: lane_weights[mi * width + p] is
   /// operand mi's β_p / normalizer for panel lane p. Operands whose
-  /// weight is exactly zero in EVERY lane are skipped (the
-  /// WeightedSumAligned filter); a lane-local exact zero contributes
-  /// ±0.0 to that lane's +0.0-seeded accumulator, which is bit-neutral.
+  /// weight is exactly zero in EVERY lane are skipped (the legacy
+  /// WeightedSum filter); a lane-local exact zero contributes ±0.0 to
+  /// that lane's +0.0-seeded accumulator, which is bit-neutral.
   const double* lane_weights = nullptr;
   /// Panel width (lane count), 1..simd::kMaxPanelWidth.
   size_t width = 0;
@@ -190,45 +112,59 @@ struct FusedPanelInputs {
   /// views.
   const common::ColumnView* row_scales = nullptr;
   /// DenominatorMode::kFromAggregates: per-operand source-aggregate
-  /// vectors (each length rows, indexed like *mats); the kernel then
-  /// derives each lane's denominator per row by the same
-  /// operand-ascending accumulation from 0.0 as the hoisted
-  /// linalg::Axpy loop. Null selects kFromDmRowSums (denominators from
-  /// the weighted numerator's row sums, in-pass).
+  /// vectors (each length rows, indexed like *mats); each lane's
+  /// denominator is then Σ_k w_k · aggregates_k[r], accumulated in
+  /// operand order from 0.0. Null selects kFromDmRowSums (denominators
+  /// from the weighted numerator's row sums, in-pass).
   const common::ColumnView* operand_aggregates = nullptr;
   /// Rows with |denominator| <= zero_tolerance are zero rows (per lane).
   double zero_tolerance = 0.0;
-  /// Optional zero-row fallback DM + row sums, as in
-  /// FusedAggregatesInputs; applied per lane.
+  /// Optional zero-row fallback DM (same shape as the operands) and its
+  /// precomputed row sums; both set or both null. A lane's zero row
+  /// with positive fallback support scatters row_scale[r]/fallback_sums[r]
+  /// times the fallback row instead of vanishing.
   const CsrMatrix* fallback_dm = nullptr;
   const linalg::Vector* fallback_row_sums = nullptr;
 };
 
-/// The cache-blocked multi-column form of FusedAggregatesAligned: one
-/// traversal of the shared structure serves `in.width` objective
-/// columns, with the per-entry accumulate/scatter vectorized across
-/// panel lanes by the `isa` kernel table (sparse/simd/). Runs inline
-/// on the calling thread — serving loops parallelize across panels,
-/// not within one.
+/// The one Eq. 14 + Eq. 17 kernel: one traversal of the shared
+/// structure serves `in.width` objective columns, accumulating the
+/// β-weighted numerator per entry, applying the per-row denominator and
+/// objective row scale, and scattering into per-chunk target partials
+/// combined in chunk-index order. The per-entry work is vectorized
+/// across panel lanes by the `isa` kernel table (sparse/simd/). Runs
+/// inline on the calling thread — serving loops parallelize across
+/// panels, not within one.
 ///
-/// Bit-identity contract: lane p's `target_estimates[p]` /
-/// `zero_rows[p]` carry exactly the bits of a single-column
-/// FusedAggregatesAligned call (and therefore of the materializing
-/// pipeline) for column p, at every panel width, ISA, and thread
-/// count. Structurally guaranteed: each lane performs the scalar
-/// sequence of its own column (lane-wise kernels, fixed in-lane
-/// order, no FMA), the chunk grid is the same kColSumGrain
-/// DeterministicChunks, and the per-chunk partials are combined in
-/// ascending chunk index by a single thread. Verified differentially
-/// by tests/simd_kernel_test.cc.
+/// Bit-identity contract: lane p's `target_estimates[p]`,
+/// `zero_rows[p]` and (when requested) `*estimated_dms[p]` carry
+/// exactly the bits of the legacy materializing pipeline for column p
+///   WeightedSum → RowSums/denominators → DivideRowsOrZero →
+///   ScaleRows → [zero-row fallback rebuild] → ColSumsDeterministic
+/// at every panel width and ISA. Structurally guaranteed: each lane
+/// performs the scalar sequence of its own column (lane-wise kernels,
+/// fixed in-lane order, no FMA), the chunk grid is ColSumsDeterministic's
+/// kColSumGrain DeterministicChunks, and the per-chunk partials are
+/// combined in ascending chunk index by a single thread. Entries that
+/// pipeline prunes scatter exact ±0.0 here, which never flips a bit of
+/// a +0.0-seeded partial. Verified differentially by
+/// tests/simd_kernel_test.cc.
 ///
 /// `target_estimates` and `zero_rows` are arrays of `in.width`
-/// non-null pointers.
+/// non-null pointers. `estimated_dms` is null (aggregates only, DM̂_o
+/// never materialized) or an array of `in.width` non-null pointers
+/// that receive each lane's DM̂_o: an entry is kept iff its numerator
+/// and its numerator × 1/denominator are nonzero (the WeightedSum and
+/// DivideRowsOrZero prunes), with value (acc · inv) · row_scale; zero
+/// rows emit their scaled fallback row, if any; a lane with a zero row
+/// under a fallback DM drops every exact zero (CooBuilder::Build's
+/// rule for the rebuilt matrix).
 Status FusedAggregatesPanel(const FusedPanelInputs& in,
                             const FusedWorkspace::Spec& spec, simd::Isa isa,
                             linalg::Vector* const* target_estimates,
                             std::vector<size_t>* const* zero_rows,
-                            FusedWorkspace* workspace);
+                            FusedWorkspace* workspace,
+                            CsrMatrix* const* estimated_dms = nullptr);
 
 }  // namespace geoalign::sparse
 

@@ -9,14 +9,14 @@ namespace geoalign::sparse {
 // deterministic-reduction contract only in that they must not depend
 // on the thread count; they are tuned for rows costing ~1-10 µs.
 //
-// kColSumGrain is shared between ColSumsDeterministic and the fused
-// execute kernel (fused_execute.h): the fused scatter replays the
+// kColSumGrain is shared between ColSumsDeterministic and the plan's
+// Eq. 14/17 kernel (fused_execute.h): its scatter replays the
 // column-sum chunking exactly, so both paths add the per-chunk
 // partials in the same order and stay bit-identical.
 inline constexpr size_t kRowMergeGrain = 128;  // WeightedSum row merge
 inline constexpr size_t kRowScaleGrain = 512;  // DivideRowsOrZero
 inline constexpr size_t kColSumGrain = 256;    // ColSumsDeterministic +
-                                               // FusedAggregatesAligned
+                                               // FusedAggregatesPanel
 
 }  // namespace geoalign::sparse
 

@@ -125,9 +125,8 @@ struct PreparedReference {
 
 /// An immutable, shareable set of prepared references — the sparse
 /// half of a compiled CrosswalkPlan. Every prepared DM shares one CSR
-/// structure, which is what the executor's structure-sharing kernels
-/// (WeightedSumAligned, FusedAggregatesAligned, FusedAggregatesPanel)
-/// require:
+/// structure, which is what the executor's Eq. 14/17 kernel
+/// (FusedAggregatesPanel) requires:
 ///  - DMs that already share one structure (e.g. all derived from the
 ///    same overlay) are kept as they are — borrowed DMs stay borrowed;
 ///  - otherwise every DM is scattered onto the union of the patterns

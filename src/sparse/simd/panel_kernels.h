@@ -28,14 +28,15 @@ inline constexpr size_t kMaxPanelWidth = 64;
 /// every destination value — including a -0.0 a caller might hand in —
 /// not just the +0.0-seeded accumulators of the fused path.
 struct PanelKernels {
-  /// dst[p] += w[p] * v — the Eq. 14 numerator step: one CSR entry's
-  /// value broadcast against the per-lane effective weights.
-  void (*axpy_broadcast)(double* dst, const double* w, double v, size_t n);
-
-  /// dst[i] += w * src[i] — the elementwise value lane of
-  /// WeightedSumAligned: one operand's weight broadcast over a span of
-  /// shared-structure entry values.
-  void (*axpy_scalar)(double* dst, double w, const double* src, size_t n);
+  /// acc[p] = Σ_mi w[mi * n + p] * vals[mi][k] over mi < n_ops, summed
+  /// in ascending mi from +0.0 with a separate mul and add per term —
+  /// one Eq. 14 entry for every lane at once: the numerator (vals = the
+  /// operand DM values, k = the entry) and the kFromAggregates
+  /// denominator (vals = the operand aggregates, k = the row). `w` is
+  /// the lane-major weight grid; lanes accumulate in registers.
+  void (*weighted_entry)(double* acc, const double* w,
+                         const double* const* vals, size_t k, size_t n_ops,
+                         size_t n);
 
   /// sum[p] += acc[p] for lanes where acc[p] is not exactly ±0.0 — the
   /// kFromDmRowSums row-sum update (pruned entries excluded).

@@ -28,26 +28,24 @@ namespace geoalign::sparse::simd {
 
 namespace {
 
-void AxpyBroadcastAvx2(double* dst, const double* w, double v, size_t n) {
-  const __m256d vv = _mm256_set1_pd(v);
+void WeightedEntryAvx2(double* acc, const double* w,
+                       const double* const* vals, size_t k, size_t n_ops,
+                       size_t n) {
   size_t p = 0;
   for (; p + 4 <= n; p += 4) {
-    __m256d d = _mm256_loadu_pd(dst + p);
-    __m256d prod = _mm256_mul_pd(_mm256_loadu_pd(w + p), vv);
-    _mm256_storeu_pd(dst + p, _mm256_add_pd(d, prod));
+    __m256d a = _mm256_setzero_pd();
+    for (size_t mi = 0; mi < n_ops; ++mi) {
+      __m256d prod = _mm256_mul_pd(_mm256_loadu_pd(w + mi * n + p),
+                                   _mm256_set1_pd(vals[mi][k]));
+      a = _mm256_add_pd(a, prod);
+    }
+    _mm256_storeu_pd(acc + p, a);
   }
-  for (; p < n; ++p) dst[p] += w[p] * v;
-}
-
-void AxpyScalarAvx2(double* dst, double w, const double* src, size_t n) {
-  const __m256d wv = _mm256_set1_pd(w);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d d = _mm256_loadu_pd(dst + i);
-    __m256d prod = _mm256_mul_pd(wv, _mm256_loadu_pd(src + i));
-    _mm256_storeu_pd(dst + i, _mm256_add_pd(d, prod));
+  for (; p < n; ++p) {
+    double a = 0.0;
+    for (size_t mi = 0; mi < n_ops; ++mi) a += w[mi * n + p] * vals[mi][k];
+    acc[p] = a;
   }
-  for (; i < n; ++i) dst[i] += w * src[i];
 }
 
 void MaskedAddAvx2(double* sum, const double* acc, size_t n) {
@@ -137,7 +135,7 @@ namespace internal {
 
 const PanelKernels& Avx2Kernels() {
   static const PanelKernels table{
-      AxpyBroadcastAvx2, AxpyScalarAvx2, MaskedAddAvx2, ScatterScaledAvx2,
+      WeightedEntryAvx2, MaskedAddAvx2,  ScatterScaledAvx2,
       AddAvx2,           ZeroMaskAvx2,   ReciprocalAvx2,
   };
   return table;

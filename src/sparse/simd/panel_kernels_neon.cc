@@ -18,24 +18,24 @@ namespace geoalign::sparse::simd {
 
 namespace {
 
-void AxpyBroadcastNeon(double* dst, const double* w, double v, size_t n) {
-  const float64x2_t vv = vdupq_n_f64(v);
+void WeightedEntryNeon(double* acc, const double* w,
+                       const double* const* vals, size_t k, size_t n_ops,
+                       size_t n) {
   size_t p = 0;
   for (; p + 2 <= n; p += 2) {
-    float64x2_t prod = vmulq_f64(vld1q_f64(w + p), vv);
-    vst1q_f64(dst + p, vaddq_f64(vld1q_f64(dst + p), prod));
+    float64x2_t a = vdupq_n_f64(0.0);
+    for (size_t mi = 0; mi < n_ops; ++mi) {
+      float64x2_t prod =
+          vmulq_f64(vld1q_f64(w + mi * n + p), vdupq_n_f64(vals[mi][k]));
+      a = vaddq_f64(a, prod);
+    }
+    vst1q_f64(acc + p, a);
   }
-  for (; p < n; ++p) dst[p] += w[p] * v;
-}
-
-void AxpyScalarNeon(double* dst, double w, const double* src, size_t n) {
-  const float64x2_t wv = vdupq_n_f64(w);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    float64x2_t prod = vmulq_f64(wv, vld1q_f64(src + i));
-    vst1q_f64(dst + i, vaddq_f64(vld1q_f64(dst + i), prod));
+  for (; p < n; ++p) {
+    double a = 0.0;
+    for (size_t mi = 0; mi < n_ops; ++mi) a += w[mi * n + p] * vals[mi][k];
+    acc[p] = a;
   }
-  for (; i < n; ++i) dst[i] += w * src[i];
 }
 
 void MaskedAddNeon(double* sum, const double* acc, size_t n) {
@@ -116,7 +116,7 @@ namespace internal {
 
 const PanelKernels& NeonKernels() {
   static const PanelKernels table{
-      AxpyBroadcastNeon, AxpyScalarNeon, MaskedAddNeon, ScatterScaledNeon,
+      WeightedEntryNeon, MaskedAddNeon,  ScatterScaledNeon,
       AddNeon,           ZeroMaskNeon,   ReciprocalNeon,
   };
   return table;

@@ -14,12 +14,14 @@ namespace geoalign::sparse::simd {
 
 namespace {
 
-void AxpyBroadcastScalar(double* dst, const double* w, double v, size_t n) {
-  for (size_t p = 0; p < n; ++p) dst[p] += w[p] * v;
-}
-
-void AxpyScalarScalar(double* dst, double w, const double* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] += w * src[i];
+void WeightedEntryScalar(double* acc, const double* w,
+                         const double* const* vals, size_t k, size_t n_ops,
+                         size_t n) {
+  for (size_t p = 0; p < n; ++p) {
+    double a = 0.0;
+    for (size_t mi = 0; mi < n_ops; ++mi) a += w[mi * n + p] * vals[mi][k];
+    acc[p] = a;
+  }
 }
 
 void MaskedAddScalar(double* sum, const double* acc, size_t n) {
@@ -58,9 +60,8 @@ namespace internal {
 
 const PanelKernels& ScalarKernels() {
   static const PanelKernels table{
-      AxpyBroadcastScalar, AxpyScalarScalar, MaskedAddScalar,
-      ScatterScaledScalar, AddScalar,        ZeroMaskScalar,
-      ReciprocalScalar,
+      WeightedEntryScalar, MaskedAddScalar, ScatterScaledScalar,
+      AddScalar,           ZeroMaskScalar,  ReciprocalScalar,
   };
   return table;
 }

@@ -6,15 +6,14 @@
 #include "common/logging.h"
 #include "common/float_eq.h"
 #include "sparse/kernel_grains.h"
-#include "sparse/simd/panel_kernels.h"
 
 namespace geoalign::sparse {
 
 namespace {
 
 // Row-chunk grains live in sparse/kernel_grains.h — kColSumGrain is
-// shared with the fused execute kernel, which must chunk exactly like
-// ColSumsDeterministic to stay bit-identical.
+// shared with the plan's Eq. 14/17 kernel, which must chunk exactly
+// like ColSumsDeterministic to stay bit-identical.
 
 // Private per-chunk output of a row-parallel merge kernel.
 struct ChunkOut {
@@ -24,8 +23,7 @@ struct ChunkOut {
 };
 
 // Stitches per-chunk outputs back into one CSR matrix in chunk order —
-// the deterministic combine step shared by WeightedSum and
-// WeightedSumAligned.
+// WeightedSum's deterministic combine step.
 Result<CsrMatrix> StitchRowChunks(size_t rows, size_t cols,
                                   std::vector<ChunkOut>& parts) {
   std::vector<size_t> out_rowptr(rows + 1, 0);
@@ -106,78 +104,6 @@ Result<CsrMatrix> WeightedSum(const std::vector<const CsrMatrix*>& mats,
           part.vals.push_back(acc[c]);
         }
         acc[c] = 0.0;
-      }
-      part.row_nnz.push_back(part.cols.size() - before);
-    }
-  });
-  return StitchRowChunks(rows, cols, parts);
-}
-
-Result<CsrMatrix> WeightedSumAligned(const std::vector<const CsrMatrix*>& mats,
-                                     const linalg::Vector& weights,
-                                     common::ThreadPool* pool) {
-  if (mats.empty()) {
-    return Status::InvalidArgument("WeightedSumAligned: no matrices");
-  }
-  if (mats.size() != weights.size()) {
-    return Status::InvalidArgument(
-        "WeightedSumAligned: weight count mismatch");
-  }
-  size_t rows = mats[0]->rows();
-  size_t cols = mats[0]->cols();
-  for (const CsrMatrix* m : mats) {
-    if (m->rows() != rows || m->cols() != cols) {
-      return Status::InvalidArgument("WeightedSumAligned: shape mismatch");
-    }
-    // Full structure equality is the caller's precondition (checked
-    // once at plan-compile time); re-verify only in debug builds.
-    GEOALIGN_DCHECK(m->row_ptr() == mats[0]->row_ptr() &&
-                    m->col_idx() == mats[0]->col_idx())
-        << "WeightedSumAligned: sparsity structures differ";
-  }
-
-  // Operands that the scatter-gather path would skip entirely.
-  std::vector<const CsrMatrix*> active_mats;
-  std::vector<double> active_weights;
-  active_mats.reserve(mats.size());
-  active_weights.reserve(mats.size());
-  for (size_t mi = 0; mi < mats.size(); ++mi) {
-    if (ExactlyZero(weights[mi])) continue;
-    active_mats.push_back(mats[mi]);
-    active_weights.push_back(weights[mi]);
-  }
-
-  common::ConstSpan<size_t> row_ptr = mats[0]->row_ptr();
-  common::ConstSpan<size_t> col_idx = mats[0]->col_idx();
-  std::vector<common::ChunkRange> chunks =
-      common::DeterministicChunks(rows, kRowMergeGrain);
-  std::vector<ChunkOut> parts(chunks.size());
-  // The value lane is elementwise over the shared entry span, so it
-  // dispatches to the vectorized simd kernels: per entry the operands
-  // still accumulate in ascending order from 0.0 (the operand loop is
-  // outer, the entry loop inner — a pure loop interchange), which
-  // keeps every entry bit-identical to the scatter-gather kernel at
-  // every ISA (tests/simd_kernel_test.cc).
-  const simd::PanelKernels& kern = simd::KernelsFor(simd::ActiveIsa());
-  common::ParallelForChunks(pool, chunks.size(), [&](size_t ci) {
-    const common::ChunkRange& range = chunks[ci];
-    ChunkOut& part = parts[ci];
-    part.row_nnz.reserve(range.end - range.begin);
-    const size_t span_begin = row_ptr[range.begin];
-    const size_t span = row_ptr[range.end] - span_begin;
-    std::vector<double> acc(span, 0.0);
-    for (size_t mi = 0; mi < active_mats.size(); ++mi) {
-      kern.axpy_scalar(acc.data(), active_weights[mi],
-                       active_mats[mi]->values().data() + span_begin, span);
-    }
-    for (size_t r = range.begin; r < range.end; ++r) {
-      size_t before = part.cols.size();
-      for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-        double v = acc[k - span_begin];
-        if (!ExactlyZero(v)) {
-          part.cols.push_back(col_idx[k]);
-          part.vals.push_back(v);
-        }
       }
       part.row_nnz.push_back(part.cols.size() - before);
     }

@@ -22,18 +22,6 @@ Result<CsrMatrix> WeightedSum(const std::vector<const CsrMatrix*>& mats,
                               const linalg::Vector& weights,
                               common::ThreadPool* pool = nullptr);
 
-/// WeightedSum for matrices that share one sparsity structure
-/// (identical row_ptr/col_idx arrays — the PreparedReferenceSet
-/// "aligned" case, e.g. every reference DM derived from the same
-/// overlay). Skips the scatter-gather accumulator and walks the shared
-/// structure directly. Structure equality is a precondition verified
-/// by the caller (checked here only in debug builds); shapes and
-/// weight count are still validated. Bit-identical to WeightedSum on
-/// any aligned input, for any pool size.
-Result<CsrMatrix> WeightedSumAligned(const std::vector<const CsrMatrix*>& mats,
-                                     const linalg::Vector& weights,
-                                     common::ThreadPool* pool = nullptr);
-
 /// Divides every entry of row r by denom[r]. Rows whose denominator is
 /// (absolutely) below `zero_tol` are set entirely to zero and reported
 /// in `zero_rows` when non-null — the paper's "otherwise 0" branch of

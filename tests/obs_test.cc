@@ -309,8 +309,7 @@ TEST_F(ObsTest, CrosswalkEmitsServingPathSpansAndCounters) {
   EXPECT_TRUE(has_span("compile"));
   EXPECT_TRUE(has_span("execute"));
   EXPECT_TRUE(has_span("execute.weight_solve"));
-  EXPECT_TRUE(has_span("execute.eq14_disaggregate"));
-  EXPECT_TRUE(has_span("execute.eq17_reaggregate"));
+  EXPECT_TRUE(has_span("execute.panel"));
 }
 
 TEST_F(ObsTest, SummaryTableMentionsRecordedMetrics) {

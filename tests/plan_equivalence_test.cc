@@ -276,6 +276,24 @@ TEST(PlanEquivalenceTest, ZeroRowWorldBitIdentical) {
   EXPECT_DOUBLE_EQ(linalg::Sum(fb.target_estimates), 5.0 + 7.0 + 9.0);
   EXPECT_DOUBLE_EQ(fb.estimated_dm.At(1, 1), 7.0 * 3.0 / 7.0);
   EXPECT_DOUBLE_EQ(fb.estimated_dm.At(1, 3), 7.0 * 4.0 / 7.0);
+
+  // A zero objective entry on a supported row: kZero keeps that row's
+  // entries in DM̂_o as explicit zeros, the kFallbackDm rebuild drops
+  // them — every path must agree on both.
+  w.input.objective_source[2] = 0.0;
+  SweepAllOptions(w.input, w.fallback);
+  auto count_zeros = [](const sparse::CsrMatrix& m) {
+    size_t n = 0;
+    for (double v : m.values()) n += v == 0.0 ? 1 : 0;
+    return n;
+  };
+  auto kept = std::move(core::GeoAlign(core::GeoAlignOptions{})
+                            .Crosswalk(w.input))
+                  .ValueOrDie();
+  EXPECT_GT(count_zeros(kept.estimated_dm), 0u);
+  auto rebuilt =
+      std::move(core::GeoAlign(opts).Crosswalk(w.input)).ValueOrDie();
+  EXPECT_EQ(count_zeros(rebuilt.estimated_dm), 0u);
 }
 
 // Like MakeZeroRowWorld, but both references share one CSR structure
@@ -603,10 +621,20 @@ TEST(PlanEquivalenceTest, PlanIsReusableAndOutlivesInput) {
     auto got = std::move(plan->Execute(objective)).ValueOrDie();
     ExpectBitIdentical(got, want);
   }
-  // Thread-count overrides are a pure scheduling choice on the shared
-  // immutable plan.
-  auto threaded = std::move(plan->Execute(objective, 4)).ValueOrDie();
-  ExpectBitIdentical(threaded, want);
+  // A thread pool is a pure scheduling choice on the shared immutable
+  // plan: ExecuteMany fans kFullDm panels out over 4 workers.
+  common::ThreadPool pool(4);
+  auto threaded = std::move(plan->ExecuteMany(
+                                20,
+                                [&](size_t, linalg::Vector*) {
+                                  return Result<common::ColumnView>(objective);
+                                },
+                                &pool, core::ExecuteOutput::kFullDm))
+                      .ValueOrDie();
+  ASSERT_EQ(threaded.size(), 20u);
+  for (const core::CrosswalkResult& got : threaded) {
+    ExpectBitIdentical(got, want);
+  }
 }
 
 TEST(PlanEquivalenceTest, PlanCacheHitsMissesEviction) {
@@ -1158,8 +1186,8 @@ TEST(PlanEquivalenceTest, ServingSurfacesCountEveryOfferedColumn) {
 }
 
 TEST(PlanEquivalenceTest, SingleColumnOnPoolMatchesAcrossSurfaces) {
-  // One column with a 4-thread pool: both surfaces spend the pool in
-  // the kernels and carry the same bits as a sequential execute.
+  // One column with a 4-thread pool: both surfaces run the single
+  // group inline and carry the same bits as a sequential execute.
   TwoSurfaces w = MakeTwoSurfaces();
   auto many = std::move(w.pipeline->RealignMany(
                             {NamedColumn(w.sources, w.input.objective_source)},
@@ -1168,9 +1196,9 @@ TEST(PlanEquivalenceTest, SingleColumnOnPoolMatchesAcrossSurfaces) {
   auto batch =
       std::move(w.batch->Run({{"col", w.input.objective_source}}))
           .ValueOrDie();
-  auto want = std::move(w.pipeline->plan()->Execute(
-                            w.input.objective_source, size_t{1}))
-                  .ValueOrDie();
+  auto want =
+      std::move(w.pipeline->plan()->Execute(w.input.objective_source))
+          .ValueOrDie();
   ASSERT_EQ(many.size(), 1u);
   ASSERT_EQ(batch.size(), 1u);
   ExpectAggregatesOnly(many[0], want);

@@ -10,15 +10,18 @@
 //     (exact ±0.0 lanes, subnormals, huge/tiny magnitudes, negatives)
 //     at every length that exercises both the vector body and the
 //     scalar tail;
-//  2. the fused panel kernel: FusedAggregatesPanel over randomized
+//  2. the Eq. 14/17 kernel: FusedAggregatesPanel over randomized
 //     shared CSR structures (empty rows, zero weights, zero aggregate
-//     rows) at panel widths 1..64 including ragged tails, for every
-//     DenominatorMode × ZeroRowFallback combination — each ISA against
-//     the scalar panel, and every lane of the scalar panel against a
-//     per-column FusedAggregatesAligned oracle.
+//     rows, zero objective entries, underflowing quotients) at panel
+//     widths 1..64 including ragged tails, for every DenominatorMode ×
+//     ZeroRowFallback combination — each ISA against the scalar panel,
+//     and every lane of the scalar panel (targets, zero rows and the
+//     emitted DM̂_o) against the legacy materializing pipeline built
+//     from the general sparse primitives.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <random>
@@ -31,6 +34,7 @@
 #include "sparse/csr_matrix.h"
 #include "sparse/fused_execute.h"
 #include "sparse/simd/isa.h"
+#include "sparse/sparse_ops.h"
 #include "sparse/simd/panel_kernels.h"
 
 namespace geoalign {
@@ -106,26 +110,30 @@ TEST_P(SimdKernelTest, MicroKernelsMatchScalarReferenceBitForBit) {
       SCOPED_TRACE(StrFormat("isa=%s n=%zu trial=%d",
                              simd::IsaName(GetParam()), n, trial));
 
-      // axpy_broadcast: dst[p] += w[p] * v
-      {
-        std::vector<double> w = TrickyArray(rng, n);
-        double v = TrickyDouble(rng);
+      // weighted_entry: acc[p] = Σ_mi w[mi * n + p] * vals[mi][k] from
+      // +0.0, for operand counts 0 (all lanes +0.0) through 9.
+      for (size_t n_ops : {0, 1, 2, 3, 5, 9}) {
+        std::vector<double> w = TrickyArray(rng, n_ops * n);
+        std::vector<std::vector<double>> columns(n_ops);
+        std::vector<const double*> vals(n_ops);
+        for (size_t mi = 0; mi < n_ops; ++mi) {
+          columns[mi] = TrickyArray(rng, 3);
+          vals[mi] = columns[mi].data();
+        }
+        const size_t k = rng() % 3;
         std::vector<double> got = TrickyArray(rng, n);
-        std::vector<double> want = got;
-        kern.axpy_broadcast(got.data(), w.data(), v, n);
-        ref.axpy_broadcast(want.data(), w.data(), v, n);
-        ExpectBitsEqual(got.data(), want.data(), n, "axpy_broadcast");
-      }
-
-      // axpy_scalar: dst[i] += w * src[i]
-      {
-        double w = TrickyDouble(rng);
-        std::vector<double> src = TrickyArray(rng, n);
-        std::vector<double> got = TrickyArray(rng, n);
-        std::vector<double> want = got;
-        kern.axpy_scalar(got.data(), w, src.data(), n);
-        ref.axpy_scalar(want.data(), w, src.data(), n);
-        ExpectBitsEqual(got.data(), want.data(), n, "axpy_scalar");
+        std::vector<double> want = TrickyArray(rng, n);
+        kern.weighted_entry(got.data(), w.data(), vals.data(), k, n_ops, n);
+        ref.weighted_entry(want.data(), w.data(), vals.data(), k, n_ops, n);
+        ExpectBitsEqual(got.data(), want.data(), n, "weighted_entry");
+        // The reference itself is the documented sum, +0.0-seeded.
+        for (size_t p = 0; p < n; ++p) {
+          double sum = 0.0;
+          for (size_t mi = 0; mi < n_ops; ++mi) {
+            sum += w[mi * n + p] * vals[mi][k];
+          }
+          ASSERT_EQ(Bits(want[p]), Bits(sum)) << "weighted_entry lane " << p;
+        }
       }
 
       // masked_add: sum[p] += acc[p] unless acc[p] is exactly ±0.0
@@ -283,13 +291,21 @@ PanelWorld MakePanelWorld(uint64_t seed, size_t rows, size_t cols,
     if (row_cols[r].empty()) row_cols[r].push_back(r % cols);
   }
 
+  // Underflow rows (every 11th with two or more entries): a 1e-300
+  // entry beside a 1e300 one, and 1e300 aggregates, so under both
+  // DenominatorModes the tiny entry's numerator × 1/denominator
+  // underflows to 0 — DivideRowsOrZero prunes it from DM̂_o.
+  auto underflow_row = [&row_cols](size_t r) {
+    return r % 11 == 6 && row_cols[r].size() >= 2;
+  };
   for (size_t mi = 0; mi < operands; ++mi) {
     sparse::CooBuilder builder(rows, cols);
     for (size_t r = 0; r < rows; ++r) {
-      for (size_t c : row_cols[r]) {
+      for (size_t j = 0; j < row_cols[r].size(); ++j) {
         double v = val(rng);
         if (v == 0.0) v = 0.5;
-        builder.Add(r, c, v);
+        if (underflow_row(r) && j < 2) v = j == 0 ? 1e-300 : 1e300;
+        builder.Add(r, row_cols[r][j], v);
       }
     }
     w.mats.push_back(builder.Build());
@@ -303,7 +319,7 @@ PanelWorld MakePanelWorld(uint64_t seed, size_t rows, size_t cols,
     linalg::Vector agg(rows, 0.0);
     for (size_t r = 0; r < rows; ++r) {
       if (r % 7 == 2) continue;
-      agg[r] = val(rng) + 5.0;
+      agg[r] = underflow_row(r) ? 1e300 : val(rng) + 5.0;
     }
     w.aggs.push_back(std::move(agg));
   }
@@ -324,7 +340,8 @@ PanelWorld MakePanelWorld(uint64_t seed, size_t rows, size_t cols,
   }
 
   // Objectives: random with exact zeros sprinkled (a zero row scale is
-  // the ScaleRows-of-zero case).
+  // the ScaleRows-of-zero case: its entries stay in DM̂_o as explicit
+  // zeros, unless the lane's fallback rebuild drops them).
   for (size_t p = 0; p < simd::kMaxPanelWidth; ++p) {
     linalg::Vector obj(rows, 0.0);
     for (size_t r = 0; r < rows; ++r) {
@@ -350,11 +367,13 @@ PanelWorld MakePanelWorld(uint64_t seed, size_t rows, size_t cols,
 }
 
 // Runs FusedAggregatesPanel on the first `width` lanes of `w` under
-// `isa`, into `targets`/`zeros` (resized to width).
+// `isa`, into `targets`/`zeros` (resized to width) and, when `dms` is
+// non-null, each lane's emitted DM̂_o.
 void RunPanel(const PanelWorld& w, size_t width, simd::Isa isa,
               bool from_aggregates, bool with_fallback, double tol,
               sparse::FusedWorkspace* ws, std::vector<linalg::Vector>* targets,
-              std::vector<std::vector<size_t>>* zeros) {
+              std::vector<std::vector<size_t>>* zeros,
+              std::vector<sparse::CsrMatrix>* dms = nullptr) {
   std::vector<double> lane_weights(w.mats.size() * width);
   for (size_t mi = 0; mi < w.mats.size(); ++mi) {
     for (size_t p = 0; p < width; ++p) {
@@ -365,12 +384,15 @@ void RunPanel(const PanelWorld& w, size_t width, simd::Isa isa,
   std::vector<common::ColumnView> row_scales(width);
   targets->assign(width, linalg::Vector());
   zeros->assign(width, {});
+  if (dms != nullptr) dms->assign(width, sparse::CsrMatrix());
   std::vector<linalg::Vector*> target_ptrs(width);
   std::vector<std::vector<size_t>*> zero_ptrs(width);
+  std::vector<sparse::CsrMatrix*> dm_ptrs(width);
   for (size_t p = 0; p < width; ++p) {
     row_scales[p] = w.objectives[p];
     target_ptrs[p] = &(*targets)[p];
     zero_ptrs[p] = &(*zeros)[p];
+    if (dms != nullptr) dm_ptrs[p] = &(*dms)[p];
   }
   sparse::FusedPanelInputs in;
   in.mats = &w.mat_ptrs;
@@ -383,26 +405,36 @@ void RunPanel(const PanelWorld& w, size_t width, simd::Isa isa,
     in.fallback_dm = &w.fallback;
     in.fallback_row_sums = &w.fallback_sums;
   }
-  ASSERT_TRUE(sparse::FusedAggregatesPanel(in, w.spec, isa, target_ptrs.data(),
-                                           zero_ptrs.data(), ws)
+  ASSERT_TRUE(sparse::FusedAggregatesPanel(
+                  in, w.spec, isa, target_ptrs.data(), zero_ptrs.data(), ws,
+                  dms != nullptr ? dm_ptrs.data() : nullptr)
                   .ok());
 }
 
-// The single-column oracle for lane p: FusedAggregatesAligned with the
-// lane's weight vector and (for kFromAggregates) denominators hoisted
-// by the same skip-zero Axpy loop the plan uses.
-void RunSingleColumnOracle(const PanelWorld& w, size_t p, size_t width,
+// What the legacy pipeline's prunes did to one oracle lane, so the
+// sweeps can assert their edge cases actually occurred.
+struct OracleEdges {
+  size_t underflow_prunes = 0;  // nonzero numerator, numerator/denom == 0
+  size_t explicit_zeros = 0;    // exact-zero values left in DM̂_o
+};
+
+// The single-column oracle for lane p: the legacy materializing
+// pipeline from the general primitives — WeightedSum, row sums or
+// skip-zero aggregate denominators, DivideRowsOrZero, ScaleRows, the
+// CooBuilder fallback rebuild, ColSumsDeterministic.
+void RunSingleColumnOracle(const PanelWorld& w, size_t p,
                            bool from_aggregates, bool with_fallback,
                            double tol, linalg::Vector* target,
-                           std::vector<size_t>* zeros) {
+                           std::vector<size_t>* zeros, sparse::CsrMatrix* dm,
+                           OracleEdges* edges) {
   linalg::Vector weights(w.mats.size(), 0.0);
   for (size_t mi = 0; mi < w.mats.size(); ++mi) {
     weights[mi] = w.weight_grid[mi * simd::kMaxPanelWidth + p];
   }
-  (void)width;
-  sparse::FusedAggregatesInputs in;
-  in.mats = &w.mat_ptrs;
-  in.weights = &weights;
+  Result<sparse::CsrMatrix> numerator =
+      sparse::WeightedSum(w.mat_ptrs, weights);
+  ASSERT_TRUE(numerator.ok());
+  sparse::CsrMatrix m = std::move(numerator).value();
   linalg::Vector denom(w.rows, 0.0);
   if (from_aggregates) {
     for (size_t mi = 0; mi < w.mats.size(); ++mi) {
@@ -411,20 +443,114 @@ void RunSingleColumnOracle(const PanelWorld& w, size_t p, size_t width,
         denom[r] += weights[mi] * w.aggs[mi][r];
       }
     }
-    in.denominators = &denom;
+  } else {
+    denom = m.RowSums();
   }
-  in.zero_tolerance = tol;
-  in.row_scale = w.objectives[p];
-  if (with_fallback) {
-    in.fallback_dm = &w.fallback;
-    in.fallback_row_sums = &w.fallback_sums;
+  for (size_t r = 0; r < w.rows; ++r) {
+    if (std::fabs(denom[r]) <= tol) continue;
+    sparse::CsrMatrix::RowView row = m.Row(r);
+    for (size_t k = 0; k < row.size; ++k) {
+      if (row.values[k] * (1.0 / denom[r]) == 0.0) ++edges->underflow_prunes;
+    }
   }
-  sparse::FusedWorkspace ws;
-  target->clear();
   zeros->clear();
-  ASSERT_TRUE(
-      sparse::FusedAggregatesAligned(in, w.spec, target, zeros, &ws, nullptr)
-          .ok());
+  sparse::DivideRowsOrZero(m, denom, tol, zeros);
+  m.ScaleRows(w.objectives[p]);
+  if (with_fallback && !zeros->empty()) {
+    std::vector<bool> is_zero_row(w.rows, false);
+    for (size_t r : *zeros) is_zero_row[r] = true;
+    sparse::CooBuilder builder(w.rows, w.cols);
+    for (size_t r = 0; r < w.rows; ++r) {
+      const bool zero_row = is_zero_row[r];
+      if (zero_row && w.fallback_sums[r] <= 0.0) continue;
+      const double scale =
+          zero_row ? w.objectives[p][r] / w.fallback_sums[r] : 1.0;
+      sparse::CsrMatrix::RowView row = zero_row ? w.fallback.Row(r) : m.Row(r);
+      for (size_t k = 0; k < row.size; ++k) {
+        builder.Add(r, row.cols[k],
+                    zero_row ? row.values[k] * scale : row.values[k]);
+      }
+    }
+    m = builder.Build();
+  }
+  for (double v : m.values()) edges->explicit_zeros += v == 0.0 ? 1 : 0;
+  *target = sparse::ColSumsDeterministic(m);
+  *dm = std::move(m);
+}
+
+void ExpectDmBitsEqual(const sparse::CsrMatrix& got,
+                       const sparse::CsrMatrix& want, const char* what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  ASSERT_EQ(got.row_ptr(), want.row_ptr()) << what;
+  ASSERT_EQ(got.col_idx(), want.col_idx()) << what;
+  ASSERT_EQ(got.values().size(), want.values().size()) << what;
+  if (want.nnz() != 0) {
+    ExpectBitsEqual(got.values().data(), want.values().data(), want.nnz(),
+                    what);
+  }
+}
+
+// Checks every lane of a scalar panel run (with DM emit) against the
+// oracle, and that the aggregates-only run carries the same targets.
+void ExpectPanelMatchesOracle(const PanelWorld& w, size_t width,
+                              bool from_aggregates, bool with_fallback,
+                              double tol, OracleEdges* edges) {
+  sparse::FusedWorkspace ws;
+  std::vector<linalg::Vector> targets, agg_targets;
+  std::vector<std::vector<size_t>> zeros, agg_zeros;
+  std::vector<sparse::CsrMatrix> dms;
+  RunPanel(w, width, simd::Isa::kScalar, from_aggregates, with_fallback, tol,
+           &ws, &targets, &zeros, &dms);
+  RunPanel(w, width, simd::Isa::kScalar, from_aggregates, with_fallback, tol,
+           &ws, &agg_targets, &agg_zeros);
+  for (size_t p = 0; p < width; ++p) {
+    SCOPED_TRACE(StrFormat("lane=%zu", p));
+    linalg::Vector want;
+    std::vector<size_t> want_zeros;
+    sparse::CsrMatrix want_dm;
+    OracleEdges lane_edges;
+    RunSingleColumnOracle(w, p, from_aggregates, with_fallback, tol, &want,
+                          &want_zeros, &want_dm, &lane_edges);
+    ExpectBitsEqual(targets[p], want, "panel vs legacy pipeline");
+    ExpectBitsEqual(agg_targets[p], want, "aggregates-only vs legacy");
+    ASSERT_EQ(zeros[p], want_zeros);
+    ASSERT_EQ(agg_zeros[p], want_zeros);
+    ExpectDmBitsEqual(dms[p], want_dm, "DM emit vs legacy pipeline");
+    if (with_fallback && !want_zeros.empty()) {
+      EXPECT_EQ(lane_edges.explicit_zeros, 0u) << "rebuild keeps no zeros";
+    }
+    edges->underflow_prunes += lane_edges.underflow_prunes;
+    edges->explicit_zeros += lane_edges.explicit_zeros;
+  }
+}
+
+// Every non-scalar ISA against the scalar panel, DM emit included.
+void ExpectIsasMatchScalar(const PanelWorld& w, size_t width,
+                           bool from_aggregates, bool with_fallback,
+                           double tol) {
+  sparse::FusedWorkspace scalar_ws;
+  std::vector<linalg::Vector> scalar_targets;
+  std::vector<std::vector<size_t>> scalar_zeros;
+  std::vector<sparse::CsrMatrix> scalar_dms;
+  RunPanel(w, width, simd::Isa::kScalar, from_aggregates, with_fallback, tol,
+           &scalar_ws, &scalar_targets, &scalar_zeros, &scalar_dms);
+  for (simd::Isa isa : simd::SupportedIsas()) {
+    if (isa == simd::Isa::kScalar) continue;
+    SCOPED_TRACE(simd::IsaName(isa));
+    sparse::FusedWorkspace isa_ws;
+    std::vector<linalg::Vector> isa_targets;
+    std::vector<std::vector<size_t>> isa_zeros;
+    std::vector<sparse::CsrMatrix> isa_dms;
+    RunPanel(w, width, isa, from_aggregates, with_fallback, tol, &isa_ws,
+             &isa_targets, &isa_zeros, &isa_dms);
+    for (size_t p = 0; p < width; ++p) {
+      SCOPED_TRACE(StrFormat("lane=%zu", p));
+      ExpectBitsEqual(isa_targets[p], scalar_targets[p], "isa vs scalar panel");
+      ASSERT_EQ(isa_zeros[p], scalar_zeros[p]);
+      ExpectDmBitsEqual(isa_dms[p], scalar_dms[p], "isa vs scalar DM emit");
+    }
+  }
 }
 
 // Panel widths: 1 (degenerate), every vector-lane multiple, and ragged
@@ -432,6 +558,8 @@ void RunSingleColumnOracle(const PanelWorld& w, size_t p, size_t width,
 const size_t kPanelWidths[] = {1, 2, 3, 4, 5, 7, 8, 13, 16, 31, 32, 64};
 
 TEST(FusedPanelDifferentialTest, AllIsasAllModesAllWidthsBitIdentical) {
+  OracleEdges edges;
+  size_t kept_zero_configs = 0;
   for (uint64_t seed : {11u, 29u, 83u}) {
     PanelWorld w = MakePanelWorld(seed, /*rows=*/41, /*cols=*/23,
                                   /*operands=*/3);
@@ -442,45 +570,26 @@ TEST(FusedPanelDifferentialTest, AllIsasAllModesAllWidthsBitIdentical) {
                                  static_cast<unsigned long long>(seed),
                                  from_aggregates ? 1 : 0,
                                  with_fallback ? 1 : 0, width));
-          sparse::FusedWorkspace scalar_ws;
-          std::vector<linalg::Vector> scalar_targets;
-          std::vector<std::vector<size_t>> scalar_zeros;
-          RunPanel(w, width, simd::Isa::kScalar, from_aggregates,
-                   with_fallback, /*tol=*/0.0, &scalar_ws, &scalar_targets,
-                   &scalar_zeros);
-
-          // Scalar panel vs the single-column kernel, lane by lane:
-          // panel blocking must never change a bit or a zero-row list.
-          for (size_t p = 0; p < width; ++p) {
-            SCOPED_TRACE(StrFormat("lane=%zu", p));
-            linalg::Vector want;
-            std::vector<size_t> want_zeros;
-            RunSingleColumnOracle(w, p, width, from_aggregates, with_fallback,
-                                  /*tol=*/0.0, &want, &want_zeros);
-            ExpectBitsEqual(scalar_targets[p], want, "panel vs single-column");
-            ASSERT_EQ(scalar_zeros[p], want_zeros);
+          // Scalar panel vs the legacy pipeline, lane by lane: panel
+          // blocking must never change a bit, a zero-row list, or an
+          // emitted DM̂_o entry.
+          OracleEdges config_edges;
+          ExpectPanelMatchesOracle(w, width, from_aggregates, with_fallback,
+                                   /*tol=*/0.0, &config_edges);
+          edges.underflow_prunes += config_edges.underflow_prunes;
+          if (!with_fallback && config_edges.explicit_zeros > 0) {
+            ++kept_zero_configs;
           }
-
-          // Every other dispatched ISA vs the scalar panel.
-          for (simd::Isa isa : simd::SupportedIsas()) {
-            if (isa == simd::Isa::kScalar) continue;
-            SCOPED_TRACE(simd::IsaName(isa));
-            sparse::FusedWorkspace isa_ws;
-            std::vector<linalg::Vector> isa_targets;
-            std::vector<std::vector<size_t>> isa_zeros;
-            RunPanel(w, width, isa, from_aggregates, with_fallback,
-                     /*tol=*/0.0, &isa_ws, &isa_targets, &isa_zeros);
-            for (size_t p = 0; p < width; ++p) {
-              SCOPED_TRACE(StrFormat("lane=%zu", p));
-              ExpectBitsEqual(isa_targets[p], scalar_targets[p],
-                              "isa vs scalar panel");
-              ASSERT_EQ(isa_zeros[p], scalar_zeros[p]);
-            }
-          }
+          ExpectIsasMatchScalar(w, width, from_aggregates, with_fallback,
+                                /*tol=*/0.0);
         }
       }
     }
   }
+  // The DM emit edge cases occurred: zero objective entries left
+  // explicit zeros under kZero, and underflowing quotients were pruned.
+  EXPECT_GT(kept_zero_configs, 0u);
+  EXPECT_GT(edges.underflow_prunes, 0u);
 }
 
 TEST(FusedPanelDifferentialTest, PositiveToleranceZeroRowsBitIdentical) {
@@ -494,35 +603,11 @@ TEST(FusedPanelDifferentialTest, PositiveToleranceZeroRowsBitIdentical) {
       for (size_t width : {size_t{1}, size_t{5}, size_t{16}, size_t{64}}) {
         SCOPED_TRACE(StrFormat("tol=%g agg=%d width=%zu", tol,
                                from_aggregates ? 1 : 0, width));
-        sparse::FusedWorkspace scalar_ws;
-        std::vector<linalg::Vector> scalar_targets;
-        std::vector<std::vector<size_t>> scalar_zeros;
-        RunPanel(w, width, simd::Isa::kScalar, from_aggregates,
-                 /*with_fallback=*/true, tol, &scalar_ws, &scalar_targets,
-                 &scalar_zeros);
-        for (size_t p = 0; p < width; ++p) {
-          SCOPED_TRACE(StrFormat("lane=%zu", p));
-          linalg::Vector want;
-          std::vector<size_t> want_zeros;
-          RunSingleColumnOracle(w, p, width, from_aggregates,
-                                /*with_fallback=*/true, tol, &want,
-                                &want_zeros);
-          ExpectBitsEqual(scalar_targets[p], want, "panel vs single-column");
-          ASSERT_EQ(scalar_zeros[p], want_zeros);
-        }
-        for (simd::Isa isa : simd::SupportedIsas()) {
-          if (isa == simd::Isa::kScalar) continue;
-          sparse::FusedWorkspace isa_ws;
-          std::vector<linalg::Vector> isa_targets;
-          std::vector<std::vector<size_t>> isa_zeros;
-          RunPanel(w, width, isa, from_aggregates, /*with_fallback=*/true,
-                   tol, &isa_ws, &isa_targets, &isa_zeros);
-          for (size_t p = 0; p < width; ++p) {
-            ExpectBitsEqual(isa_targets[p], scalar_targets[p],
-                            "isa vs scalar panel");
-            ASSERT_EQ(isa_zeros[p], scalar_zeros[p]);
-          }
-        }
+        OracleEdges edges;
+        ExpectPanelMatchesOracle(w, width, from_aggregates,
+                                 /*with_fallback=*/true, tol, &edges);
+        ExpectIsasMatchScalar(w, width, from_aggregates,
+                              /*with_fallback=*/true, tol);
       }
     }
   }
@@ -593,6 +678,13 @@ TEST(FusedPanelDifferentialTest, RejectsMalformedInputs) {
   bad.row_scales = nullptr;
   EXPECT_FALSE(sparse::FusedAggregatesPanel(bad, w.spec, simd::Isa::kScalar,
                                             &target_ptr, &zero_ptr, &ws)
+                   .ok());
+
+  // A DM output array with a null lane is rejected.
+  sparse::CsrMatrix* null_dm = nullptr;
+  EXPECT_FALSE(sparse::FusedAggregatesPanel(in, w.spec, simd::Isa::kScalar,
+                                            &target_ptr, &zero_ptr, &ws,
+                                            &null_dm)
                    .ok());
 
   // A fallback DM without its row sums (or vice versa) is rejected.

@@ -5,10 +5,9 @@
 //                --ref <name>=<crosswalk csv> [--ref ...]
 //                [--method geoalign|dasymetric=<ref>|areal|regression]
 //                [--output aggregates|dm] (geoalign only: `aggregates`
-//                                        serves through the fused
-//                                        zero-materialization execute
-//                                        lane; `dm` (default) runs the
-//                                        materializing path)
+//                                        never materializes DM̂_o;
+//                                        `dm` (default) also emits
+//                                        it; estimates are identical)
 //                [--out <path>]        (default: stdout)
 //                [--weights]           (print learned weights to stderr)
 //                [--metrics-out <path>] (write a metrics snapshot; see
