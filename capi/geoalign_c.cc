@@ -1,15 +1,13 @@
 // C ABI shim over the compiled-plan API (capi/geoalign_c.h,
 // docs/embedding.md). Borrowed aggregate columns and CSR arrays flow
 // through the view-based Compile without a single byte copied; COO
-// input is converted through CooBuilder (the copy is counted on
-// `ingest.bytes_copied`). Everything observable — target estimates,
-// weights, fingerprints, error messages — is bit-identical to the C++
-// path, enforced by tests/capi_test.cc.
+// input is converted through CooBuilder into plan-owned CSR arrays.
+// Everything observable — target estimates, weights, fingerprints,
+// error messages — is bit-identical to the C++ path, enforced by
+// tests/capi_test.cc.
 
 #include "capi/geoalign_c.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -17,7 +15,6 @@
 #include <vector>
 
 #include "common/span.h"
-#include "common/string_util.h"
 #include "core/crosswalk_plan.h"
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
@@ -48,53 +45,12 @@ int FailStatus(const Status& status) {
   return Fail(GEOALIGN_ERR_FAILED, std::string(status.message()));
 }
 
-geoalign::obs::Counter& IngestBytesCopied() {
-  static geoalign::obs::Counter& c =
-      geoalign::obs::MetricsRegistry::Global().GetCounter(
-          "ingest.bytes_copied");
-  return c;
-}
-
-// The structural validation the C++ callers get from
-// CrosswalkInput::Validate, minus the objective checks (the C API has
-// no objective at compile time). Same messages, same 1e-6 relative
-// tolerance on the row-sum consistency precondition.
-Status ValidateReference(const geoalign::core::ReferenceAttributeView& ref) {
-  using geoalign::StrFormat;
-  for (double v : ref.source_aggregates) {
-    if (v < 0.0 || !std::isfinite(v)) {
-      return Status::InvalidArgument(StrFormat(
-          "reference '%s': negative or non-finite source aggregate",
-          ref.name.c_str()));
-    }
-  }
-  for (double v : ref.disaggregation.values()) {
-    if (v < 0.0 || !std::isfinite(v)) {
-      return Status::InvalidArgument(StrFormat(
-          "reference '%s': negative or non-finite DM entry",
-          ref.name.c_str()));
-    }
-  }
-  const geoalign::linalg::Vector sums = ref.disaggregation.RowSums();
-  for (size_t i = 0; i < sums.size(); ++i) {
-    const double lim = 1e-6 * std::max(1.0, ref.source_aggregates[i]);
-    if (std::fabs(sums[i] - ref.source_aggregates[i]) > lim) {
-      return Status::FailedPrecondition(StrFormat(
-          "reference '%s': DM row %zu sums to %.9g, source aggregate "
-          "is %.9g",
-          ref.name.c_str(), i, sums[i], ref.source_aggregates[i]));
-    }
-  }
-  return Status::OK();
-}
-
 // Builds the per-reference view list from the C structs. CSR input is
 // borrowed (zero-copy); COO input is accumulated into an owned matrix.
 Result<std::vector<geoalign::core::ReferenceAttributeView>> BuildViews(
     const geoalign_reference* references, size_t num_references) {
   std::vector<geoalign::core::ReferenceAttributeView> views;
   views.reserve(num_references);
-  uint64_t bytes_copied = 0;
   for (size_t k = 0; k < num_references; ++k) {
     const geoalign_reference& ref = references[k];
     if (ref.name == nullptr) {
@@ -149,16 +105,15 @@ Result<std::vector<geoalign::core::ReferenceAttributeView>> BuildViews(
         builder.Add(e.row, e.col, e.value);
       }
       view.disaggregation = builder.Build();
-      bytes_copied +=
-          view.disaggregation.row_ptr().size() * sizeof(size_t) +
-          view.disaggregation.nnz() * (sizeof(size_t) + sizeof(double));
       view.source_aggregates =
           geoalign::common::ColumnView(ref.source_aggregates, ref.coo_rows);
     }
-    GEOALIGN_RETURN_IF_ERROR(ValidateReference(view));
+    // CrosswalkInput::Validate's per-reference checks and messages; the
+    // C API has no objective at compile time.
+    GEOALIGN_RETURN_IF_ERROR(geoalign::core::ValidateReference(
+        view.name, view.source_aggregates, view.disaggregation));
     views.push_back(std::move(view));
   }
-  IngestBytesCopied().Add(bytes_copied);
   return views;
 }
 

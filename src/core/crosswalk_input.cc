@@ -1,25 +1,57 @@
 #include "core/crosswalk_input.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/string_util.h"
 
 namespace geoalign::core {
 
-namespace {
+Status ValidateReference(const std::string& name,
+                         common::ColumnView source_aggregates,
+                         const sparse::CsrMatrix& disaggregation,
+                         double consistency_tol) {
+  for (double v : source_aggregates) {
+    if (v < 0.0 || !std::isfinite(v)) {
+      return Status::InvalidArgument(StrFormat(
+          "reference '%s': negative or non-finite source aggregate",
+          name.c_str()));
+    }
+  }
+  for (double v : disaggregation.values()) {
+    if (v < 0.0 || !std::isfinite(v)) {
+      return Status::InvalidArgument(StrFormat(
+          "reference '%s': negative or non-finite DM entry", name.c_str()));
+    }
+  }
+  linalg::Vector sums = disaggregation.RowSums();
+  for (size_t i = 0; i < sums.size(); ++i) {
+    double lim = consistency_tol * std::max(1.0, source_aggregates[i]);
+    if (std::fabs(sums[i] - source_aggregates[i]) > lim) {
+      return Status::FailedPrecondition(StrFormat(
+          "reference '%s': DM row %zu sums to %.9g, source aggregate "
+          "is %.9g",
+          name.c_str(), i, sums[i], source_aggregates[i]));
+    }
+  }
+  return Status::OK();
+}
 
-// One reference as seen by validation — both the owning and the view
-// input shapes lower to this, so their checks (and messages) cannot
-// drift apart.
-struct RefForValidate {
-  const std::string* name;
-  common::ColumnView source_aggregates;
-  const sparse::CsrMatrix* disaggregation;
-};
+std::vector<ReferenceAttributeView> BorrowReferences(
+    const std::vector<ReferenceAttribute>& references) {
+  std::vector<ReferenceAttributeView> views;
+  views.reserve(references.size());
+  for (const ReferenceAttribute& ref : references) {
+    const sparse::CsrMatrix& dm = ref.disaggregation;
+    views.push_back({ref.name, common::ColumnView(ref.source_aggregates),
+                     sparse::CsrMatrix::BorrowStructure(dm, dm.values(),
+                                                        nullptr),
+                     nullptr});
+  }
+  return views;
+}
 
-Status ValidateImpl(common::ColumnView objective_source,
-                    const std::vector<RefForValidate>& references,
-                    double consistency_tol) {
+Status CrosswalkInput::Validate(double consistency_tol) const {
   if (references.empty()) {
     return Status::InvalidArgument("CrosswalkInput: no reference attributes");
   }
@@ -33,72 +65,27 @@ Status ValidateImpl(common::ColumnView objective_source,
           "CrosswalkInput: objective aggregates must be finite and >= 0");
     }
   }
-  size_t num_target = references[0].disaggregation->cols();
+  size_t num_target = references[0].disaggregation.cols();
   if (num_target == 0) {
     return Status::InvalidArgument("CrosswalkInput: zero target units");
   }
-  for (const RefForValidate& ref : references) {
+  for (const ReferenceAttribute& ref : references) {
     if (ref.source_aggregates.size() != num_source) {
       return Status::InvalidArgument(StrFormat(
           "reference '%s': source vector has %zu entries, expected %zu",
-          ref.name->c_str(), ref.source_aggregates.size(), num_source));
+          ref.name.c_str(), ref.source_aggregates.size(), num_source));
     }
-    if (ref.disaggregation->rows() != num_source ||
-        ref.disaggregation->cols() != num_target) {
+    if (ref.disaggregation.rows() != num_source ||
+        ref.disaggregation.cols() != num_target) {
       return Status::InvalidArgument(StrFormat(
           "reference '%s': DM is %zux%zu, expected %zux%zu",
-          ref.name->c_str(), ref.disaggregation->rows(),
-          ref.disaggregation->cols(), num_source, num_target));
+          ref.name.c_str(), ref.disaggregation.rows(),
+          ref.disaggregation.cols(), num_source, num_target));
     }
-    for (double v : ref.source_aggregates) {
-      if (v < 0.0 || !std::isfinite(v)) {
-        return Status::InvalidArgument(StrFormat(
-            "reference '%s': negative or non-finite source aggregate",
-            ref.name->c_str()));
-      }
-    }
-    for (double v : ref.disaggregation->values()) {
-      if (v < 0.0 || !std::isfinite(v)) {
-        return Status::InvalidArgument(StrFormat(
-            "reference '%s': negative or non-finite DM entry",
-            ref.name->c_str()));
-      }
-    }
-    linalg::Vector sums = ref.disaggregation->RowSums();
-    for (size_t i = 0; i < num_source; ++i) {
-      double lim =
-          consistency_tol * std::max(1.0, ref.source_aggregates[i]);
-      if (std::fabs(sums[i] - ref.source_aggregates[i]) > lim) {
-        return Status::FailedPrecondition(StrFormat(
-            "reference '%s': DM row %zu sums to %.9g, source aggregate "
-            "is %.9g",
-            ref.name->c_str(), i, sums[i], ref.source_aggregates[i]));
-      }
-    }
+    GEOALIGN_RETURN_IF_ERROR(ValidateReference(
+        ref.name, ref.source_aggregates, ref.disaggregation, consistency_tol));
   }
   return Status::OK();
-}
-
-}  // namespace
-
-Status CrosswalkInput::Validate(double consistency_tol) const {
-  std::vector<RefForValidate> refs;
-  refs.reserve(references.size());
-  for (const ReferenceAttribute& ref : references) {
-    refs.push_back({&ref.name, common::ColumnView(ref.source_aggregates),
-                    &ref.disaggregation});
-  }
-  return ValidateImpl(common::ColumnView(objective_source), refs,
-                      consistency_tol);
-}
-
-Status CrosswalkInputView::Validate(double consistency_tol) const {
-  std::vector<RefForValidate> refs;
-  refs.reserve(references.size());
-  for (const ReferenceAttributeView& ref : references) {
-    refs.push_back({&ref.name, ref.source_aggregates, &ref.disaggregation});
-  }
-  return ValidateImpl(objective_source, refs, consistency_tol);
 }
 
 Result<size_t> CrosswalkInput::FindReference(const std::string& name) const {

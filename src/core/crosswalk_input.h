@@ -58,29 +58,26 @@ struct CrosswalkInput {
 /// Zero-copy flavor of ReferenceAttribute: the aggregate column is a
 /// borrowed view (optionally guarded by a keepalive) and the DM is
 /// typically a borrowed-mode CsrMatrix. Identical to — and directly
-/// consumed as — the sparse layer's Prepare input.
+/// consumed as — the sparse layer's Prepare input, and the input of the
+/// one CrosswalkPlan::Compile body.
 using ReferenceAttributeView = sparse::ReferenceDataView;
 
-/// Zero-copy flavor of CrosswalkInput for embedding hosts that already
-/// hold the aggregate columns in columnar memory (Arrow buffers, the C
-/// ABI): compile paths consume the views without duplicating a single
-/// aggregate column. The viewed memory must outlive the compile call;
-/// whatever the compile produces retains only what it needs (the plan
-/// keeps reading the reference views, so those must outlive the plan —
-/// pass keepalives to make that automatic).
-struct CrosswalkInputView {
-  common::ColumnView objective_source;  ///< a^s_o
-  std::vector<ReferenceAttributeView> references;
+/// The per-reference half of CrosswalkInput::Validate: aggregates and
+/// DM entries non-negative and finite, and each DM row summing to its
+/// source aggregate within `consistency_tol` (relative). Shapes are the
+/// caller's to check. Every surface that validates references (the C
+/// ABI included) calls this, so their messages are byte-identical.
+Status ValidateReference(const std::string& name,
+                         common::ColumnView source_aggregates,
+                         const sparse::CsrMatrix& disaggregation,
+                         double consistency_tol = 1e-6);
 
-  size_t NumSourceUnits() const { return objective_source.size(); }
-  size_t NumTargetUnits() const {
-    return references.empty() ? 0 : references[0].disaggregation.cols();
-  }
-
-  /// Same checks — and byte-identical messages — as
-  /// CrosswalkInput::Validate.
-  Status Validate(double consistency_tol = 1e-6) const;
-};
+/// Borrowed views of owning references: names are copied, no aggregate
+/// column or CSR array is. For compiles whose plan dies before
+/// `references` does (a one-shot Crosswalk); the views must not outlive
+/// `references`.
+std::vector<ReferenceAttributeView> BorrowReferences(
+    const std::vector<ReferenceAttribute>& references);
 
 }  // namespace geoalign::core
 

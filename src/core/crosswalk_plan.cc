@@ -67,9 +67,9 @@ obs::Counter& WorkspaceReuse() {
   return c;
 }
 // Bytes the ingest path duplicated to get reference data into a plan
-// (aggregate columns + the CSR arrays of DMs kept as they are). The
-// owning Compile overloads pay this once per reference; the view
-// overloads keep it at zero — the zero-copy contract tests and
+// (aggregate columns + the CSR arrays of DMs kept as they are). Only
+// the owning Compile adapter pays this, once per reference; view
+// compiles keep it at zero — the zero-copy contract tests and
 // bench/ingest_path assert on the delta. Union arrays that Prepare
 // derives for an unaligned set are not copies and are not counted.
 obs::Counter& IngestBytesCopied() {
@@ -206,6 +206,34 @@ Result<CrosswalkPlan> CrosswalkPlan::Compile(
 Result<CrosswalkPlan> CrosswalkPlan::Compile(
     const std::vector<ReferenceAttribute>& references,
     const GeoAlignOptions& options) {
+  // The owning adapter. Its plan outlives the caller's references, so
+  // it copies what the prepared set keeps reading: every aggregate
+  // column, and every DM when the DMs already share one structure. Any
+  // other DM is only read while Prepare scatters it onto the union
+  // structure — the plan's own copy — so it is lent, not duplicated.
+  const bool keep_dms = sparse::SharesOneStructure(references);
+  std::vector<ReferenceAttributeView> views = BorrowReferences(references);
+  uint64_t bytes_copied = 0;
+  for (size_t k = 0; k < views.size(); ++k) {
+    auto aggregates =
+        std::make_shared<const linalg::Vector>(references[k].source_aggregates);
+    bytes_copied += aggregates->size() * sizeof(double);
+    views[k].source_aggregates = common::ColumnView(*aggregates);
+    views[k].keepalive = std::move(aggregates);
+    if (keep_dms) {
+      const sparse::CsrMatrix& dm = references[k].disaggregation;
+      bytes_copied += dm.row_ptr().size() * sizeof(size_t) +
+                      dm.nnz() * (sizeof(size_t) + sizeof(double));
+      views[k].disaggregation = dm;
+    }
+  }
+  IngestBytesCopied().Add(bytes_copied);
+  return Compile(std::move(views), options);
+}
+
+Result<CrosswalkPlan> CrosswalkPlan::Compile(
+    std::vector<ReferenceAttributeView> references,
+    const GeoAlignOptions& options) {
   GEOALIGN_TRACE_SPAN("compile");
   obs::Stopwatch compile_watch;
   // Same early validation (and messages) as the legacy per-call path.
@@ -217,73 +245,9 @@ Result<CrosswalkPlan> CrosswalkPlan::Compile(
     return Status::InvalidArgument(
         "GeoAlign: kFallbackDm requires options.fallback_dm");
   }
-
-  // The owning ingest path duplicates every aggregate column into
-  // plan-owned storage, and every DM when the DMs already share one
-  // structure. Any other DM is only read while Prepare scatters it
-  // onto the union structure — the plan's own copy — so it is lent to
-  // Prepare, not duplicated. The view overload below is the copy-free
-  // path.
-  const bool keep_dms = sparse::SharesOneStructure(references);
-  std::vector<sparse::ReferenceData> data;
-  data.reserve(references.size());
-  uint64_t bytes_copied = 0;
-  for (const ReferenceAttribute& ref : references) {
-    const sparse::CsrMatrix& dm = ref.disaggregation;
-    bytes_copied += ref.source_aggregates.size() * sizeof(double);
-    if (keep_dms) {
-      bytes_copied += dm.row_ptr().size() * sizeof(size_t) +
-                      dm.nnz() * (sizeof(size_t) + sizeof(double));
-    }
-    data.push_back(sparse::ReferenceData{
-        ref.name, ref.source_aggregates,
-        keep_dms ? dm
-                 : sparse::CsrMatrix::BorrowStructure(dm, dm.values(),
-                                                      nullptr)});
-  }
-  IngestBytesCopied().Add(bytes_copied);
-  GEOALIGN_ASSIGN_OR_RETURN(
-      sparse::PreparedReferenceSet prepared,
-      sparse::PreparedReferenceSet::Prepare(std::move(data)));
-  GEOALIGN_ASSIGN_OR_RETURN(CrosswalkPlan plan,
-                            FinishCompile(std::move(prepared), options));
-  CompileCount().Add(1);
-  CompileLatencyUs().Record(compile_watch.ElapsedMicros());
-  return plan;
-}
-
-Result<CrosswalkPlan> CrosswalkPlan::Compile(CrosswalkInputView input,
-                                             const GeoAlignOptions& options) {
-  return Compile(std::move(input.references), options);
-}
-
-Result<CrosswalkPlan> CrosswalkPlan::Compile(
-    std::vector<ReferenceAttributeView> references,
-    const GeoAlignOptions& options) {
-  GEOALIGN_TRACE_SPAN("compile");
-  obs::Stopwatch compile_watch;
-  if (references.empty()) {
-    return Status::InvalidArgument("GeoAlign: no reference attributes");
-  }
-  if (options.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
-      options.fallback_dm == nullptr) {
-    return Status::InvalidArgument(
-        "GeoAlign: kFallbackDm requires options.fallback_dm");
-  }
-  // Views flow straight into Prepare — no aggregate column or CSR
-  // array is duplicated, so IngestBytesCopied stays untouched.
   GEOALIGN_ASSIGN_OR_RETURN(
       sparse::PreparedReferenceSet prepared,
       sparse::PreparedReferenceSet::Prepare(std::move(references)));
-  GEOALIGN_ASSIGN_OR_RETURN(CrosswalkPlan plan,
-                            FinishCompile(std::move(prepared), options));
-  CompileCount().Add(1);
-  CompileLatencyUs().Record(compile_watch.ElapsedMicros());
-  return plan;
-}
-
-Result<CrosswalkPlan> CrosswalkPlan::FinishCompile(
-    sparse::PreparedReferenceSet prepared, const GeoAlignOptions& options) {
   CrosswalkPlan plan(std::move(prepared), options);
 
   {
@@ -324,6 +288,8 @@ Result<CrosswalkPlan> CrosswalkPlan::FinishCompile(
       plan.fallback_row_sums_ = plan.fallback_dm_->RowSums();
     }
   }
+  CompileCount().Add(1);
+  CompileLatencyUs().Record(compile_watch.ElapsedMicros());
   return plan;
 }
 
@@ -489,7 +455,6 @@ void CrosswalkPlan::ExecuteOnePanel(
           "CrosswalkPlan: objective length does not match source units"));
       continue;
     }
-    Stopwatch watch;
     Result<linalg::Vector> b = linalg::NormalizeByMax(objectives[i]);
     if (!b.ok()) {
       results[i]->emplace(b.status());
@@ -503,7 +468,6 @@ void CrosswalkPlan::ExecuteOnePanel(
     results[i]->emplace(CrosswalkResult{});
     CrosswalkResult& res = (*results[i])->value();
     res.weights = std::move(beta).value();
-    res.timing.Add("weight_learning", watch.ElapsedSeconds());
     ps.lanes.push_back(i);
   }
   const size_t width = ps.lanes.size();
@@ -571,12 +535,10 @@ void CrosswalkPlan::ExecuteOnePanel(
   in.fallback_dm = use_fallback ? fallback_dm_.get() : nullptr;
   in.fallback_row_sums = use_fallback ? &fallback_row_sums_ : nullptr;
 
-  Stopwatch kernel_watch;
   Status st = sparse::FusedAggregatesPanel(
       in, workspace_spec_.fused, isa, ps.targets.data(), ps.zero_lists.data(),
       &ws->fused(),
       output == ExecuteOutput::kFullDm ? ps.dms.data() : nullptr);
-  const double kernel_seconds = kernel_watch.ElapsedSeconds();
 
   if (!st.ok()) {
     for (size_t li = 0; li < width; ++li) results[ps.lanes[li]]->emplace(st);
@@ -599,8 +561,6 @@ void CrosswalkPlan::ExecuteOnePanel(
     }
     audit.zero_rows += res.zero_rows.size();
     ZeroRowsTotal().Add(res.zero_rows.size());
-    res.timing.Add("disaggregation", kernel_seconds);
-    res.timing.Add("reaggregation", 0.0);
     ExecuteCount().Add(1);
   }
 

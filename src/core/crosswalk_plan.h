@@ -62,35 +62,33 @@ Result<linalg::Vector> SolveWeightsForDesign(const linalg::Matrix& a,
 /// holds internal pointers that survive moves but not copies).
 class CrosswalkPlan {
  public:
-  /// Compiles the objective-independent work for `input.references`
-  /// (the objective column in `input` is ignored). Surfaces the same
-  /// errors as the legacy path's per-call preprocessing: no
-  /// references, shape mismatches, non-normalizable aggregates, and a
-  /// missing fallback DM under ZeroRowFallback::kFallbackDm. When a
-  /// fallback DM is supplied it is snapshotted, so the plan never
-  /// dangles on the caller's pointer.
-  static Result<CrosswalkPlan> Compile(const CrosswalkInput& input,
-                                       const GeoAlignOptions& options);
+  /// The one compile body: compiles the objective-independent work
+  /// for `references`. The reference aggregate columns stay borrowed
+  /// memory all the way into the prepared set — nothing is duplicated
+  /// (the `ingest.bytes_copied` counter stays flat). The viewed memory
+  /// must outlive the plan; attach keepalives to the views to make that
+  /// automatic. Surfaces the same errors as the legacy path's per-call
+  /// preprocessing: no references, shape mismatches, non-normalizable
+  /// aggregates, and a missing fallback DM under
+  /// ZeroRowFallback::kFallbackDm. When a fallback DM is supplied it is
+  /// snapshotted, so the plan never dangles on the caller's pointer.
+  static Result<CrosswalkPlan> Compile(
+      std::vector<ReferenceAttributeView> references,
+      const GeoAlignOptions& options);
 
-  /// Same, from a bare reference list.
+  /// Owning adapter over the view Compile, for plans that must outlive
+  /// the caller's references: copies every aggregate column (and the
+  /// DMs when they already share one structure) into plan-owned memory
+  /// and charges the copy to `ingest.bytes_copied`. Same errors, and
+  /// the same fingerprint for the same bytes, as the view Compile, so
+  /// PlanCache keys are ingest-path independent.
   static Result<CrosswalkPlan> Compile(
       const std::vector<ReferenceAttribute>& references,
       const GeoAlignOptions& options);
 
-  /// Zero-copy compile: the reference aggregate columns stay borrowed
-  /// caller memory all the way into the prepared set — no aggregate
-  /// column is duplicated (the `ingest.bytes_copied` counter stays
-  /// flat). The viewed memory must outlive the plan; attach keepalives
-  /// to the views to make that automatic. Surfaces the same errors —
-  /// and produces the same fingerprint for the same bytes — as the
-  /// owning overloads, so PlanCache keys are ingest-path independent.
-  static Result<CrosswalkPlan> Compile(CrosswalkInputView input,
+  /// Same, for `input.references` (the objective column is ignored).
+  static Result<CrosswalkPlan> Compile(const CrosswalkInput& input,
                                        const GeoAlignOptions& options);
-
-  /// Same, from a bare reference-view list.
-  static Result<CrosswalkPlan> Compile(
-      std::vector<ReferenceAttributeView> references,
-      const GeoAlignOptions& options);
 
   CrosswalkPlan(CrosswalkPlan&&) = default;
   CrosswalkPlan& operator=(CrosswalkPlan&&) = default;
@@ -201,12 +199,6 @@ class CrosswalkPlan {
  private:
   CrosswalkPlan(sparse::PreparedReferenceSet prepared,
                 GeoAlignOptions options);
-
-  /// The shared Compile tail: design matrix, Gram, workspace spec,
-  /// fallback snapshot — everything after the prepared set exists.
-  /// Telemetry stays in the public Compile entries.
-  static Result<CrosswalkPlan> FinishCompile(
-      sparse::PreparedReferenceSet prepared, const GeoAlignOptions& options);
 
   /// β for an already max-normalized objective vector.
   Result<linalg::Vector> SolveWeightsNormalized(

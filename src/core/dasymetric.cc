@@ -32,18 +32,14 @@ Result<CrosswalkResult> Dasymetric::Crosswalk(
     return Status::InvalidArgument("Dasymetric: size mismatch");
   }
   CrosswalkResult result;
-  Stopwatch watch;
 
   sparse::CsrMatrix estimated = ref.disaggregation;
   std::vector<size_t> zero_rows;
   sparse::DivideRowsOrZero(estimated, ref.source_aggregates,
                            /*zero_tol=*/0.0, &zero_rows);
   estimated.ScaleRows(input.objective_source);
-  result.timing.Add("disaggregation", watch.ElapsedSeconds());
-  watch.Restart();
 
   result.target_estimates = estimated.ColSums();
-  result.timing.Add("reaggregation", watch.ElapsedSeconds());
 
   result.estimated_dm = std::move(estimated);
   result.zero_rows = std::move(zero_rows);

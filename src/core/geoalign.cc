@@ -43,19 +43,17 @@ Result<CrosswalkPlan> GeoAlign::Compile(const CrosswalkInput& input) const {
   return CrosswalkPlan::Compile(input, options_);
 }
 
-Result<CrosswalkPlan> GeoAlign::Compile(
-    const std::vector<ReferenceAttribute>& references) const {
-  return CrosswalkPlan::Compile(references, options_);
-}
-
 Result<CrosswalkResult> GeoAlign::Crosswalk(
     const CrosswalkInput& input) const {
   // Thin compile-then-execute wrapper: one-shot callers pay one plan
   // compilation (what the legacy path redid inline anyway); repeated
-  // callers should hold the plan. Bit-identical to CrosswalkUncompiled
-  // by the CrosswalkPlan contract, which plan_equivalence_test pins.
-  GEOALIGN_ASSIGN_OR_RETURN(CrosswalkPlan plan,
-                            CrosswalkPlan::Compile(input, options_));
+  // callers should hold the plan. The plan dies inside this call, so it
+  // compiles over borrowed views of `input` and copies nothing.
+  // Bit-identical to CrosswalkUncompiled by the CrosswalkPlan contract,
+  // which plan_equivalence_test pins.
+  GEOALIGN_ASSIGN_OR_RETURN(
+      CrosswalkPlan plan,
+      CrosswalkPlan::Compile(BorrowReferences(input.references), options_));
   return plan.Execute(input.objective_source);
 }
 
@@ -70,7 +68,6 @@ Result<CrosswalkResult> CrosswalkUncompiled(const CrosswalkInput& input,
         "GeoAlign: kFallbackDm requires options.fallback_dm");
   }
   CrosswalkResult result;
-  Stopwatch watch;
   // The pool only changes who executes the fixed chunks, never the
   // combine order, so every thread count yields identical bits.
   std::unique_ptr<common::ThreadPool> pool =
@@ -81,8 +78,6 @@ Result<CrosswalkResult> CrosswalkUncompiled(const CrosswalkInput& input,
   GEOALIGN_ASSIGN_OR_RETURN(
       linalg::Vector beta,
       internal::SolveWeightsForDesign(system.first, system.second, options));
-  result.timing.Add("weight_learning", watch.ElapsedSeconds());
-  watch.Restart();
 
   // Step 2: disaggregation (Eq. 14). Effective per-reference weight
   // folds the β_k together with the normalization factor so a single
@@ -159,12 +154,9 @@ Result<CrosswalkResult> CrosswalkUncompiled(const CrosswalkInput& input,
     }
     estimated = builder.Build();
   }
-  result.timing.Add("disaggregation", watch.ElapsedSeconds());
-  watch.Restart();
 
   // Step 3: re-aggregation (Eq. 17).
   result.target_estimates = sparse::ColSumsDeterministic(estimated, pool.get());
-  result.timing.Add("reaggregation", watch.ElapsedSeconds());
 
   result.estimated_dm = std::move(estimated);
   result.weights = std::move(beta);

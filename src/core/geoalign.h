@@ -44,10 +44,6 @@ class GeoAlign : public Interpolator {
   /// reusable for any number of `Execute` calls.
   Result<CrosswalkPlan> Compile(const CrosswalkInput& input) const;
 
-  /// Same, from a bare reference list.
-  Result<CrosswalkPlan> Compile(
-      const std::vector<ReferenceAttribute>& references) const;
-
   /// Runs only step 1 and returns β. Exposed for experiments that
   /// inspect weights (e.g. §4.4.2 reference-selection analysis).
   Result<linalg::Vector> LearnWeights(const CrosswalkInput& input) const;

@@ -73,8 +73,8 @@ enum class ExecuteOutput {
   kFullDm,
   /// Eq. 14+17 scattered straight into the target accumulator without
   /// ever allocating DM̂_o. `estimated_dm` comes back empty
-  /// (0×0); `target_estimates`, `weights`, `zero_rows`, timing, and
-  /// every error path are bit-/behavior-identical to kFullDm.
+  /// (0×0); `target_estimates`, `weights`, `zero_rows`, and every
+  /// error path are bit-/behavior-identical to kFullDm.
   kAggregatesOnly,
 };
 

@@ -79,12 +79,28 @@ Status ValidateShapes(const std::vector<std::string>& source_units,
 CrosswalkPipeline::CrosswalkPipeline(
     std::vector<std::string> source_units,
     std::vector<std::string> target_units,
-    std::vector<ReferenceAttribute> references,
     std::shared_ptr<const Interpolator> method)
     : source_units_(std::move(source_units)),
       target_units_(std::move(target_units)),
-      references_(std::move(references)),
       method_(std::move(method)) {}
+
+Result<CrosswalkPipeline> CrosswalkPipeline::WithUnits(
+    std::vector<std::string> source_units,
+    std::vector<std::string> target_units,
+    std::shared_ptr<const Interpolator> method) {
+  if (method == nullptr) {
+    method = std::make_shared<GeoAlign>();
+  }
+  CrosswalkPipeline pipeline(std::move(source_units), std::move(target_units),
+                             std::move(method));
+  GEOALIGN_ASSIGN_OR_RETURN(
+      pipeline.source_index_,
+      BuildUnitIndex(pipeline.source_units_, "source"));
+  GEOALIGN_ASSIGN_OR_RETURN(
+      pipeline.target_index_,
+      BuildUnitIndex(pipeline.target_units_, "target"));
+  return pipeline;
+}
 
 Result<CrosswalkPipeline> CrosswalkPipeline::Create(
     std::vector<std::string> source_units,
@@ -93,35 +109,19 @@ Result<CrosswalkPipeline> CrosswalkPipeline::Create(
     std::shared_ptr<const Interpolator> method) {
   GEOALIGN_RETURN_IF_ERROR(
       ValidateShapes(source_units, target_units, references));
-  if (method == nullptr) {
-    method = std::make_shared<GeoAlign>();
-  }
-  CrosswalkPipeline pipeline(std::move(source_units),
-                             std::move(target_units), std::move(references),
-                             std::move(method));
   GEOALIGN_ASSIGN_OR_RETURN(
-      pipeline.source_index_,
-      BuildUnitIndex(pipeline.source_units_, "source"));
-  GEOALIGN_ASSIGN_OR_RETURN(
-      pipeline.target_index_,
-      BuildUnitIndex(pipeline.target_units_, "target"));
-
-  // Compile step: a GeoAlign method gets its objective-independent
-  // work hoisted into one shared plan here. Compilation failures (e.g.
-  // a reference whose aggregates cannot be normalized) intentionally
-  // do NOT fail Create — the legacy contract surfaces those errors at
-  // Realign time, so we fall back to the per-call path instead.
-  if (const auto* ga =
-          dynamic_cast<const GeoAlign*>(pipeline.method_.get())) {
-    Result<CrosswalkPlan> plan = ga->Compile(pipeline.references_);
-    if (plan.ok()) {
-      pipeline.plan_ = std::make_shared<const CrosswalkPlan>(
-          std::move(plan).value());
-      // The plan owns prepared copies of every reference; drop the
-      // now-redundant originals (they were only read per Realign call).
-      pipeline.references_.clear();
-      pipeline.references_.shrink_to_fit();
-    }
+      CrosswalkPipeline pipeline,
+      WithUnits(std::move(source_units), std::move(target_units),
+                std::move(method)));
+  if (const auto* ga = dynamic_cast<const GeoAlign*>(pipeline.method_.get())) {
+    // Compile step: the objective-independent work is hoisted into one
+    // shared plan (which owns copies of what it reads) and a compile
+    // error fails Create, as in the view Create.
+    GEOALIGN_ASSIGN_OR_RETURN(
+        CrosswalkPlan plan, CrosswalkPlan::Compile(references, ga->options()));
+    pipeline.plan_ = std::make_shared<const CrosswalkPlan>(std::move(plan));
+  } else {
+    pipeline.references_ = std::move(references);
   }
   return pipeline;
 }
@@ -133,29 +133,18 @@ Result<CrosswalkPipeline> CrosswalkPipeline::Create(
     std::shared_ptr<const Interpolator> method) {
   GEOALIGN_RETURN_IF_ERROR(
       ValidateShapes(source_units, target_units, references));
-  if (method == nullptr) {
-    method = std::make_shared<GeoAlign>();
-  }
-  const auto* ga = dynamic_cast<const GeoAlign*>(method.get());
+  GEOALIGN_ASSIGN_OR_RETURN(
+      CrosswalkPipeline pipeline,
+      WithUnits(std::move(source_units), std::move(target_units),
+                std::move(method)));
+  const auto* ga = dynamic_cast<const GeoAlign*>(pipeline.method_.get());
   if (ga == nullptr) {
     return Status::InvalidArgument(
         "CrosswalkPipeline: view-based Create requires a GeoAlign method");
   }
-  const GeoAlignOptions options = ga->options();
-  CrosswalkPipeline pipeline(std::move(source_units), std::move(target_units),
-                             {}, std::move(method));
-  GEOALIGN_ASSIGN_OR_RETURN(
-      pipeline.source_index_,
-      BuildUnitIndex(pipeline.source_units_, "source"));
-  GEOALIGN_ASSIGN_OR_RETURN(
-      pipeline.target_index_,
-      BuildUnitIndex(pipeline.target_units_, "target"));
-  // Unlike the owning Create there is nothing to fall back to per call
-  // (the pipeline holds no owning reference copies), so a compile
-  // error fails Create instead of resurfacing at Realign time.
   GEOALIGN_ASSIGN_OR_RETURN(
       CrosswalkPlan plan,
-      CrosswalkPlan::Compile(std::move(references), options));
+      CrosswalkPlan::Compile(std::move(references), ga->options()));
   pipeline.plan_ = std::make_shared<const CrosswalkPlan>(std::move(plan));
   return pipeline;
 }
@@ -206,8 +195,7 @@ Result<CrosswalkResult> CrosswalkPipeline::Realign(
   input.objective_source = std::move(objective_source);
   input.references = references_;
   // Non-GeoAlign interpolators (baselines, custom methods) have no
-  // compiled-plan form; this also serves GeoAlign when its plan failed
-  // to compile, preserving the legacy error-at-Realign contract.
+  // compiled-plan form.
   return method_->Crosswalk(input);  // NOLINT(geoalign-plan-bypass)
 }
 

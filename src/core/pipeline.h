@@ -30,9 +30,9 @@ class CrosswalkPipeline {
   /// Create is the COMPILE step of the serving path: it hoists the
   /// name→index maps and, when `method` is GeoAlign, compiles the
   /// shared CrosswalkPlan once; Realign/RealignMany then only execute.
-  /// (If plan compilation fails — e.g. a reference GeoAlign cannot
-  /// normalize — Create still succeeds and the error surfaces at
-  /// Realign time, matching the legacy behaviour.)
+  /// A plan compilation error (e.g. a reference GeoAlign cannot
+  /// normalize) fails Create. Other methods keep the references and
+  /// run per call.
   static Result<CrosswalkPipeline> Create(
       std::vector<std::string> source_units,
       std::vector<std::string> target_units,
@@ -42,8 +42,8 @@ class CrosswalkPipeline {
   /// Zero-copy Create: reference aggregate columns and CSR arrays stay
   /// borrowed caller memory through plan compilation (attach keepalives
   /// to the views to tie lifetime to the pipeline). Requires a GeoAlign
-  /// method (default when null) — there is no per-call fallback for
-  /// views, so compile errors surface here rather than at Realign time.
+  /// method (default when null): views have no per-call path. Compile
+  /// errors fail Create, as in the owning Create.
   static Result<CrosswalkPipeline> Create(
       std::vector<std::string> source_units,
       std::vector<std::string> target_units,
@@ -100,14 +100,20 @@ class CrosswalkPipeline {
   const Interpolator& method() const { return *method_; }
 
   /// The compiled plan shared by Realign/RealignMany, or null when the
-  /// method is not GeoAlign (or its references failed to compile).
+  /// method is not GeoAlign.
   const CrosswalkPlan* plan() const { return plan_.get(); }
 
  private:
   CrosswalkPipeline(std::vector<std::string> source_units,
                     std::vector<std::string> target_units,
-                    std::vector<ReferenceAttribute> references,
                     std::shared_ptr<const Interpolator> method);
+
+  /// The head both Create overloads share: defaults `method` to
+  /// GeoAlign and builds the unit indices.
+  static Result<CrosswalkPipeline> WithUnits(
+      std::vector<std::string> source_units,
+      std::vector<std::string> target_units,
+      std::shared_ptr<const Interpolator> method);
 
   /// Sums a (unit name, value) column into unit-index order over
   /// `units` (whose name→index map is `index`); unknown names are
@@ -124,7 +130,7 @@ class CrosswalkPipeline {
   std::unordered_map<std::string, size_t> source_index_;
   std::unordered_map<std::string, size_t> target_index_;
   /// Reference attributes, kept only for interpolators that take the
-  /// per-call CrosswalkInput path; empty once `plan_` is compiled.
+  /// per-call CrosswalkInput path; empty when `plan_` is set.
   std::vector<ReferenceAttribute> references_;
   std::shared_ptr<const Interpolator> method_;
   std::shared_ptr<const CrosswalkPlan> plan_;

@@ -38,7 +38,6 @@ Result<CrosswalkResult> ThreeClassDasymetric::Crosswalk(
         "3-class dasymetric: reference DM shape mismatch");
   }
   CrosswalkResult result;
-  Stopwatch watch;
 
   // 1. Density of the classifying reference per intersection cell, and
   // the class thresholds (quantiles over cells weighted equally).
@@ -82,8 +81,6 @@ Result<CrosswalkResult> ThreeClassDasymetric::Crosswalk(
       linalg::NnlsSolution fit,
       linalg::SolveNnls(class_areas, input.objective_source));
   result.weights = fit.x;  // the estimated class densities
-  result.timing.Add("weight_learning", watch.ElapsedSeconds());
-  watch.Restart();
 
   // 3. Spread each source unit by d_class * area, rescaled to the
   // unit's actual aggregate (volume preservation). Units whose class
@@ -116,10 +113,7 @@ Result<CrosswalkResult> ThreeClassDasymetric::Crosswalk(
     }
   }
   result.estimated_dm = builder.Build();
-  result.timing.Add("disaggregation", watch.ElapsedSeconds());
-  watch.Restart();
   result.target_estimates = result.estimated_dm.ColSums();
-  result.timing.Add("reaggregation", watch.ElapsedSeconds());
   result.zero_rows = std::move(zero_rows);
   return result;
 }

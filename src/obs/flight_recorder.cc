@@ -205,24 +205,31 @@ void FlightRecorder::Record(AuditRecord record) {
   record.request_seq = req.seq;
   std::memcpy(record.request_id, req.id, sizeof(record.request_id));
   Slot& slot = slots_[i % kCapacity];
-  // Per-slot seqlock: odd stamp while the record bytes are in flux,
-  // even (and derived from the ordinal, so monotonically increasing)
-  // once published.
-  slot.stamp.store(2 * i + 1, std::memory_order_release);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.record = record;
-  std::atomic_thread_fence(std::memory_order_release);
+  // Per-slot seqlock: odd stamp while the words are in flux, even (and
+  // derived from the ordinal, so monotonically increasing) once
+  // published. A reader whose acquire load sees any new word also sees
+  // the odd stamp, so a torn copy never passes its second stamp check.
+  const auto* bytes = reinterpret_cast<const unsigned char*>(&record);
+  slot.stamp.store(2 * i + 1, std::memory_order_relaxed);
+  for (size_t w = 0; w < kRecordWords; ++w) {
+    uint64_t word = 0;
+    std::memcpy(&word, bytes + w * sizeof(word), sizeof(word));
+    slot.words[w].store(word, std::memory_order_release);
+  }
   slot.stamp.store(2 * i + 2, std::memory_order_release);
 }
 
 bool FlightRecorder::ReadSlot(size_t i, AuditRecord* out) const {
-  const uint64_t s1 = slots_[i].stamp.load(std::memory_order_acquire);
+  const Slot& slot = slots_[i];
+  const uint64_t s1 = slot.stamp.load(std::memory_order_acquire);
   if (s1 == 0 || (s1 & 1) != 0) return false;
-  std::atomic_thread_fence(std::memory_order_acquire);
-  *out = slots_[i].record;
-  std::atomic_thread_fence(std::memory_order_acquire);
-  const uint64_t s2 = slots_[i].stamp.load(std::memory_order_acquire);
-  return s1 == s2;
+  uint64_t words[kRecordWords];
+  for (size_t w = 0; w < kRecordWords; ++w) {
+    words[w] = slot.words[w].load(std::memory_order_acquire);
+  }
+  if (slot.stamp.load(std::memory_order_relaxed) != s1) return false;
+  std::memcpy(out, words, sizeof(words));
+  return true;
 }
 
 std::vector<AuditRecord> FlightRecorder::Collect() const {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "obs/request_context.h"
@@ -21,8 +22,9 @@
 //
 // Unlike metrics and spans, recording is NOT gated on obs::Enabled():
 // the recorder exists precisely for the runs nobody thought to
-// instrument. One Record is a seqlock-stamped struct copy (~tens of
-// ns per plan execute, which itself costs microseconds to seconds).
+// instrument. One Record is a seqlock-stamped copy of the record's
+// 64-bit words (~tens of ns per plan execute, which itself costs
+// microseconds to seconds).
 //
 // Dump format: one JSON object per line.
 //   {"type":"header","reason":"demand|fatal|signal","in_flight":[ids]}
@@ -91,10 +93,17 @@ class FlightRecorder {
   void Clear();
 
  private:
+  /// The record travels as atomic words so a reader racing a writer
+  /// sees torn words (caught by the stamp), never a data race.
+  static constexpr size_t kRecordWords = sizeof(AuditRecord) / sizeof(uint64_t);
+  static_assert(sizeof(AuditRecord) == kRecordWords * sizeof(uint64_t),
+                "AuditRecord must be a whole number of 64-bit words");
+  static_assert(std::is_trivially_copyable_v<AuditRecord>);
+
   struct Slot {
     /// 0 = empty; odd = write in progress; even nonzero = published.
     std::atomic<uint64_t> stamp{0};
-    AuditRecord record;
+    std::atomic<uint64_t> words[kRecordWords] = {};
   };
 
   bool ReadSlot(size_t i, AuditRecord* out) const;

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -209,6 +210,43 @@ TEST(CapiTest, CompileErrorsAreReported) {
             GEOALIGN_ERR_INVALID_ARGUMENT);
   EXPECT_NE(std::string(geoalign_error_message()).find("out of range"),
             std::string::npos);
+}
+
+// The ABI validates each reference with CrosswalkInput::Validate's own
+// per-reference check, so every failure carries the C++ message exactly.
+TEST(CapiTest, CompileErrorMessagesEqualValidate) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* what;
+    size_t agg_at;
+    double agg;
+    size_t value_at;
+    double value;
+  };
+  const Case cases[] = {
+      {"negative aggregate", 1, -4.0, 0, 1.0},
+      {"negative DM entry", 0, 3.0, 2, -3.0},
+      {"NaN DM entry", 0, 3.0, 4, nan},
+      {"row-sum mismatch", 0, 100.0, 0, 1.0},
+  };
+  for (const Case& c : cases) {
+    CWorld w;
+    w.agg_a[c.agg_at] = c.agg;
+    w.values_a[c.value_at] = c.value;
+    const geoalign_csr csr_a = w.CsrA();
+    geoalign_reference ref = CsrRef("a", w.agg_a, &csr_a);
+    geoalign_plan* plan = nullptr;
+    EXPECT_NE(geoalign_plan_compile(&ref, 1, &plan), GEOALIGN_OK) << c.what;
+    EXPECT_EQ(plan, nullptr);
+
+    core::CrosswalkInput input = w.Owning();
+    input.references.pop_back();
+    const Status status = input.Validate();
+    ASSERT_FALSE(status.ok()) << c.what;
+    EXPECT_EQ(std::string(geoalign_error_message()),
+              std::string(status.message()))
+        << c.what;
+  }
 }
 
 TEST(CapiTest, ExecuteErrorsAreReported) {

@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: Status/Result, Rng, string
-// utilities, PhaseTimer.
+// utilities, Stopwatch.
 
 #include <gtest/gtest.h>
 
@@ -219,18 +219,6 @@ TEST(StringUtil, StartsWithAndLower) {
   EXPECT_TRUE(StartsWith("POLYGON(...)", "POLYGON"));
   EXPECT_FALSE(StartsWith("POLY", "POLYGON"));
   EXPECT_EQ(AsciiToLower("MiXeD123"), "mixed123");
-}
-
-TEST(PhaseTimer, AccumulatesByPhase) {
-  PhaseTimer t;
-  t.Add("a", 1.0);
-  t.Add("b", 2.0);
-  t.Add("a", 0.5);
-  EXPECT_DOUBLE_EQ(t.Seconds("a"), 1.5);
-  EXPECT_DOUBLE_EQ(t.Seconds("b"), 2.0);
-  EXPECT_DOUBLE_EQ(t.Seconds("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(t.TotalSeconds(), 3.5);
-  EXPECT_EQ(t.Phases().size(), 2u);
 }
 
 TEST(Stopwatch, MeasuresNonNegativeTime) {

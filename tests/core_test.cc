@@ -304,15 +304,6 @@ TEST(GeoAlign, DenominatorModeControlsNoiseBehaviour) {
   EXPECT_GT(res_lit.VolumePreservationError(noisy.objective_source), 1e-3);
 }
 
-TEST(GeoAlign, TimingPhasesPopulated) {
-  Rng rng(111);
-  SyntheticCase c = RandomRecoverableCase(rng, 20, 5, 3);
-  GeoAlign geoalign;
-  auto res = std::move(geoalign.Crosswalk(c.input)).ValueOrDie();
-  EXPECT_GT(res.timing.TotalSeconds(), 0.0);
-  EXPECT_EQ(res.timing.Phases().size(), 3u);
-}
-
 TEST(GeoAlign, LearnWeightsMatchesCrosswalkWeights) {
   Rng rng(113);
   SyntheticCase c = RandomRecoverableCase(rng, 30, 8, 3);

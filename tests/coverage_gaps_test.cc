@@ -58,14 +58,6 @@ TEST(InterpolatorNames, AreStable) {
             "3-class dasymetric");
 }
 
-TEST(PhaseTimer, ClearResets) {
-  PhaseTimer t;
-  t.Add("x", 1.0);
-  t.Clear();
-  EXPECT_DOUBLE_EQ(t.TotalSeconds(), 0.0);
-  EXPECT_TRUE(t.Phases().empty());
-}
-
 TEST(BoxStats, SingleElement) {
   linalg::BoxStats s = linalg::ComputeBoxStats({7.0});
   EXPECT_DOUBLE_EQ(s.min, 7.0);

@@ -277,6 +277,38 @@ TEST_F(ObsExportTest, FlightRecorderRingKeepsNewestOnWrap) {
   EXPECT_EQ(got.back().seq, total);
 }
 
+// A reader racing a writer that laps the ring either skips a slot or
+// copies one whole record, never a mix of an old and a new one.
+TEST_F(ObsExportTest, FlightRecorderCollectDuringRecordNeverTears) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  constexpr uint64_t kRecords = 500 * obs::FlightRecorder::kCapacity;
+  std::atomic<bool> done{false};
+  std::thread writer([&recorder, &done] {
+    for (uint64_t i = 0; i < kRecords; ++i) {
+      obs::AuditRecord r;
+      r.rows = i;
+      r.latency_us = i * 7 + 3;
+      r.zero_rows = ~i;
+      recorder.Record(r);
+    }
+    done.store(true, std::memory_order_release);
+  });
+  size_t collected = 0;
+  size_t torn = 0;
+  while (!done.load(std::memory_order_acquire)) {
+    for (const obs::AuditRecord& r : recorder.Collect()) {
+      ++collected;
+      if (r.latency_us != r.rows * 7 + 3 || r.zero_rows != ~r.rows ||
+          r.seq != r.rows + 1) {
+        ++torn;
+      }
+    }
+  }
+  writer.join();
+  EXPECT_EQ(torn, 0u) << "of " << collected << " collected records";
+  EXPECT_EQ(recorder.Collect().size(), obs::FlightRecorder::kCapacity);
+}
+
 TEST_F(ObsExportTest, FlightRecorderDumpIsParseableJsonl) {
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   obs::RequestScope scope("dump-req");

@@ -318,7 +318,7 @@ TEST_F(ObsTest, SummaryTableMentionsRecordedMetrics) {
   EXPECT_NE(table.find("obs_test.summary"), std::string::npos);
 }
 
-TEST_F(ObsTest, StopwatchAndPhaseTimerShareSteadyClockPolicy) {
+TEST_F(ObsTest, StopwatchSharesSteadyClockPolicy) {
   obs::Stopwatch watch;
   int64_t t0 = obs::NowTicks();
   int64_t t1 = obs::NowTicks();

@@ -24,6 +24,8 @@
 
 #include "common/span.h"
 #include "core/crosswalk_plan.h"
+#include "core/geoalign.h"
+#include "core/pipeline.h"
 #include "io/csv.h"
 #include "io/table.h"
 #include "obs/metrics.h"
@@ -100,7 +102,7 @@ TEST(BufferTest, EmptyBufferHasNoKeepalive) {
 // ---- zero-copy compile paths ------------------------------------------
 
 // One aligned two-reference world, built both ways: owning
-// CrosswalkInput and borrowed CrosswalkInputView over the same bytes.
+// CrosswalkInput and borrowed reference views over the same bytes.
 struct World {
   // Caller-owned storage (what an embedding host would hold).
   std::vector<size_t> row_ptr = {0, 2, 4, 5};
@@ -130,23 +132,21 @@ struct World {
     return input;
   }
 
-  core::CrosswalkInputView Borrowing() const {
-    core::CrosswalkInputView input;
-    input.objective_source = objective;
-    input.references.resize(2);
-    input.references[0].name = "a";
-    input.references[0].source_aggregates = agg_a;
-    input.references[0].disaggregation =
+  std::vector<core::ReferenceAttributeView> Borrowing() const {
+    std::vector<core::ReferenceAttributeView> references(2);
+    references[0].name = "a";
+    references[0].source_aggregates = agg_a;
+    references[0].disaggregation =
         std::move(sparse::CsrMatrix::FromBorrowed(
                       {3, 2, row_ptr, col_idx, values_a}))
             .ValueOrDie();
-    input.references[1].name = "b";
-    input.references[1].source_aggregates = agg_b;
-    input.references[1].disaggregation =
+    references[1].name = "b";
+    references[1].source_aggregates = agg_b;
+    references[1].disaggregation =
         std::move(sparse::CsrMatrix::FromBorrowed(
                       {3, 2, row_ptr, col_idx, values_b}))
             .ValueOrDie();
-    return input;
+    return references;
   }
 };
 
@@ -280,13 +280,67 @@ TEST(ZeroCopyCompileTest, OddLengthMisalignedViewsMatchThroughPanels) {
 
 TEST(ZeroCopyCompileTest, EmptyObjectiveViewIsRejected) {
   World w;
-  core::CrosswalkInputView input = w.Borrowing();
-  input.objective_source = common::ColumnView();
+  core::CrosswalkInput input = w.Owning();
+  input.objective_source.clear();
   EXPECT_FALSE(input.Validate().ok());
   auto plan = std::move(core::CrosswalkPlan::Compile(
                             w.Borrowing(), core::GeoAlignOptions{}))
                   .ValueOrDie();
   EXPECT_FALSE(plan.Execute(common::ColumnView()).ok());
+}
+
+TEST(ZeroCopyCompileTest, CrosswalkCopiesNothingAndMatchesLegacy) {
+  World w;
+  // The aligned world, plus an unaligned one: reference b moved onto its
+  // own CSR pattern, so the compile scatters onto a union structure.
+  core::CrosswalkInput unaligned = w.Owning();
+  unaligned.references[1].disaggregation =
+      std::move(sparse::CsrMatrix::FromCsrArrays(
+                    3, 2, {0, 1, 3, 4}, {0, 0, 1, 1}, {3.0, 1.0, 2.0, 3.0}))
+          .ValueOrDie();
+  for (const core::CrosswalkInput& input : {w.Owning(), unaligned}) {
+    const uint64_t before = IngestBytes();
+    auto compiled = std::move(core::GeoAlign().Crosswalk(input)).ValueOrDie();
+    EXPECT_EQ(IngestBytes(), before) << "a one-shot Crosswalk must not copy";
+    auto legacy = std::move(core::CrosswalkUncompiled(
+                                input, core::GeoAlignOptions{}))
+                      .ValueOrDie();
+    auto same = [](common::ConstSpan<double> a, common::ConstSpan<double> b) {
+      return a.size() == b.size() &&
+             std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+    };
+    EXPECT_TRUE(same(compiled.target_estimates, legacy.target_estimates));
+    EXPECT_TRUE(same(compiled.weights, legacy.weights));
+    EXPECT_TRUE(same(compiled.estimated_dm.values(),
+                     legacy.estimated_dm.values()));
+    EXPECT_TRUE(compiled.estimated_dm.row_ptr() ==
+                legacy.estimated_dm.row_ptr());
+    EXPECT_TRUE(compiled.estimated_dm.col_idx() ==
+                legacy.estimated_dm.col_idx());
+    EXPECT_EQ(compiled.zero_rows, legacy.zero_rows);
+  }
+}
+
+TEST(ZeroCopyCompileTest, PipelineCreateFailsAlikeOnBothOverloads) {
+  World w;
+  // An all-zero reference cannot be max-normalized for Eq. 15.
+  core::CrosswalkInput input = w.Owning();
+  input.references[0].source_aggregates.assign(3, 0.0);
+  input.references[0].disaggregation =
+      std::move(sparse::CsrMatrix::FromCsrArrays(3, 2, {0, 0, 0, 0}, {}, {}))
+          .ValueOrDie();
+  const std::vector<std::string> source = {"s0", "s1", "s2"};
+  const std::vector<std::string> target = {"t0", "t1"};
+  auto viewed = core::CrosswalkPipeline::Create(
+      source, target, core::BorrowReferences(input.references));
+  auto owning =
+      core::CrosswalkPipeline::Create(source, target, input.references);
+  ASSERT_FALSE(viewed.ok());
+  ASSERT_FALSE(owning.ok())
+      << "a GeoAlign pipeline whose references cannot compile must fail "
+         "Create";
+  EXPECT_EQ(owning.status().code(), viewed.status().code());
+  EXPECT_EQ(owning.status().message(), viewed.status().message());
 }
 
 // ---- hardened Table error paths ---------------------------------------

@@ -267,9 +267,11 @@ Result<int> Run(const CliArgs& args) {
       return Status::InvalidArgument(
           "--output aggregates requires --method geoalign");
     }
+    // The plan dies with this call: compile over borrowed views.
     GEOALIGN_ASSIGN_OR_RETURN(
         core::CrosswalkPlan plan,
-        core::CrosswalkPlan::Compile(input, core::GeoAlignOptions{}));
+        core::CrosswalkPlan::Compile(core::BorrowReferences(input.references),
+                                     core::GeoAlignOptions{}));
     GEOALIGN_ASSIGN_OR_RETURN(
         result, plan.Execute(input.objective_source,
                              core::ExecuteOutput::kAggregatesOnly));
