@@ -12,6 +12,7 @@
 #include "bench_util.h"
 #include "core/geoalign.h"
 #include "linalg/matrix.h"
+#include "oracles/sparse_oracle.h"
 #include "sparse/sparse_ops.h"
 
 namespace geoalign {

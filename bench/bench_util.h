@@ -3,11 +3,15 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
+#include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "io/json.h"
 #include "synth/universe.h"
 
 namespace geoalign::bench {
@@ -20,6 +24,61 @@ inline double BenchScale() {
   if (env == nullptr) return 1.0;
   double v = std::atof(env);
   return v > 0.0 ? v : 1.0;
+}
+
+/// Timing repetitions: the GEOALIGN_BENCH_REPS environment variable,
+/// or `fallback` when it is unset or not a positive integer.
+inline size_t Reps(size_t fallback) {
+  const char* env = std::getenv("GEOALIGN_BENCH_REPS");
+  if (env == nullptr) return fallback;
+  long v = std::atol(env);
+  return v > 0 ? static_cast<size_t>(v) : fallback;
+}
+
+/// BENCH_*.json result files are io::JsonValue documents written by the
+/// library's JSON serializer. tools/bench_compare.py pairs metrics by
+/// their dotted key paths (list rows by their "op"/"name"/"case"/"kind"
+/// string), so renaming a key unpairs its metric from the committed
+/// baseline.
+using Json = io::JsonValue;
+using JsonObject = std::map<std::string, Json>;
+inline Json Num(double v) { return Json::MakeNumber(v); }
+inline Json Str(std::string s) { return Json::MakeString(std::move(s)); }
+inline Json Bool(bool b) { return Json::MakeBool(b); }
+inline Json Obj(JsonObject members) {
+  return Json::MakeObject(std::move(members));
+}
+inline Json Arr(std::vector<Json> items) {
+  return Json::MakeArray(std::move(items));
+}
+
+/// Writes one result file: `fields` plus the members every file
+/// carries — "bench" (selects the BENCH_<bench>.json baseline), "date"
+/// (UTC), "bench_scale" and "repetitions". Reports the outcome on
+/// stdout/stderr.
+inline bool WriteBenchJson(const char* path, const char* bench,
+                           size_t repetitions, JsonObject fields) {
+  std::time_t now = std::time(nullptr);
+  char stamp[32];
+  std::strftime(stamp, sizeof(stamp), "%Y-%m-%d", std::gmtime(&now));
+  fields["bench"] = Str(bench);
+  fields["date"] = Str(stamp);
+  fields["bench_scale"] = Num(BenchScale());
+  fields["repetitions"] = Num(static_cast<double>(repetitions));
+  const std::string text = Obj(std::move(fields)).Dump() + "\n";
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", path);
+    return false;
+  }
+  const bool written = std::fwrite(text.data(), 1, text.size(), f) ==
+                       text.size();
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    return false;
+  }
+  std::printf("wrote %s\n", path);
+  return true;
 }
 
 inline const synth::Universe& GetUniverse(

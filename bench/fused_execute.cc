@@ -44,7 +44,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <optional>
 #include <string>
 #include <utility>
@@ -85,12 +84,7 @@ struct Sample {
   bool bit_identical = true;
 };
 
-size_t Reps() {
-  const char* env = std::getenv("GEOALIGN_BENCH_REPS");
-  if (env == nullptr) return 3;
-  long v = std::atol(env);
-  return v > 0 ? static_cast<size_t>(v) : 3;
-}
+size_t Reps() { return bench::Reps(3); }
 
 size_t MaxCols() {
   const char* env = std::getenv("GEOALIGN_BENCH_MAX_COLS");
@@ -533,84 +527,67 @@ int main(int argc, char** argv) {
               "after warmup: %s\n",
               ok ? "PASS" : "FAIL");
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
+  std::vector<bench::Json> series;
+  for (const Sample& s : samples) {
+    const double cols = static_cast<double>(s.columns);
+    series.push_back(bench::Obj(
+        {{"universe", bench::Str(s.universe)},
+         {"zips", bench::Num(s.zips)},
+         {"counties", bench::Num(s.counties)},
+         {"references", bench::Num(s.references)},
+         {"shared_nnz", bench::Num(s.shared_nnz)},
+         {"columns", bench::Num(cols)},
+         {"materializing_seconds", bench::Num(s.materializing_seconds)},
+         {"fused_seconds", bench::Num(s.fused_seconds)},
+         {"materializing_cols_per_sec",
+          bench::Num(cols / s.materializing_seconds)},
+         {"fused_cols_per_sec", bench::Num(cols / s.fused_seconds)},
+         {"speedup", bench::Num(s.speedup)},
+         {"hot_path_allocs_after_warmup", bench::Num(s.hot_path_allocs)},
+         {"workspace_reuse", bench::Num(s.workspace_reuse)},
+         {"aligned", bench::Bool(s.aligned)},
+         {"bit_identical", bench::Bool(s.bit_identical)}}));
+  }
+  std::vector<bench::Json> loo;
+  for (const Sample& s : loo_samples) {
+    loo.push_back(bench::Obj(
+        {{"universe", bench::Str(s.universe)},
+         {"target", bench::Str(s.target)},
+         {"references", bench::Num(s.references)},
+         {"input_nnz", bench::Num(s.input_nnz)},
+         {"union_nnz", bench::Num(s.shared_nnz)},
+         {"input_aligned", bench::Bool(s.input_aligned)},
+         {"columns", bench::Num(s.columns)},
+         {"materializing_seconds", bench::Num(s.materializing_seconds)},
+         {"fused_seconds", bench::Num(s.fused_seconds)},
+         {"speedup", bench::Num(s.speedup)},
+         {"hot_path_allocs_after_warmup", bench::Num(s.hot_path_allocs)},
+         {"aligned", bench::Bool(s.aligned)},
+         {"bit_identical", bench::Bool(s.bit_identical)}}));
+  }
+  std::vector<bench::Json> cells;
+  for (const SweepSample& s : sweep) {
+    cells.push_back(bench::Obj(
+        {{"isa", bench::Str(s.isa)},
+         {"width", bench::Num(s.width)},
+         {"seconds", bench::Num(s.seconds)},
+         {"cols_per_sec", bench::Num(s.cols_per_sec)},
+         {"speedup_vs_w1_scalar", bench::Num(s.speedup_vs_w1_scalar)},
+         {"hot_path_allocs_after_warmup", bench::Num(s.hot_path_allocs)},
+         {"bit_identical", bench::Bool(s.bit_identical)}}));
+  }
+  if (!bench::WriteBenchJson(
+          out_path, "fused_execute", Reps(),
+          {{"all_checks_pass", bench::Bool(ok)},
+           {"series", bench::Arr(std::move(series))},
+           {"unaligned_loo", bench::Arr(std::move(loo))},
+           {"panel_sweep",
+            bench::Obj({{"universe", bench::Str(sweep_uni.name)},
+                        {"references", bench::Num(10)},
+                        {"columns", bench::Num(sweep_objectives.size())},
+                        {"baseline", bench::Str("width 1, forced scalar")},
+                        {"cells", bench::Arr(std::move(cells))}})}})) {
     return 1;
   }
-  std::time_t now = std::time(nullptr);
-  char stamp[32];
-  std::strftime(stamp, sizeof(stamp), "%Y-%m-%d", std::gmtime(&now));
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"fused_execute\",\n");
-  std::fprintf(f, "  \"date\": \"%s\",\n", stamp);
-  std::fprintf(f, "  \"bench_scale\": %.4f,\n", bench::BenchScale());
-  std::fprintf(f, "  \"repetitions\": %zu,\n", Reps());
-  std::fprintf(f, "  \"all_checks_pass\": %s,\n", ok ? "true" : "false");
-  std::fprintf(f, "  \"series\": [\n");
-  for (size_t i = 0; i < samples.size(); ++i) {
-    const Sample& s = samples[i];
-    std::fprintf(
-        f,
-        "    {\"universe\": \"%s\", \"zips\": %zu, \"counties\": %zu, "
-        "\"references\": %zu, \"shared_nnz\": %zu, \"columns\": %zu, "
-        "\"materializing_seconds\": %.6e, \"fused_seconds\": %.6e, "
-        "\"materializing_cols_per_sec\": %.3f, "
-        "\"fused_cols_per_sec\": %.3f, \"speedup\": %.3f, "
-        "\"hot_path_allocs_after_warmup\": %llu, "
-        "\"workspace_reuse\": %llu, \"aligned\": %s, "
-        "\"bit_identical\": %s}%s\n",
-        s.universe.c_str(), s.zips, s.counties, s.references, s.shared_nnz,
-        s.columns, s.materializing_seconds, s.fused_seconds,
-        static_cast<double>(s.columns) / s.materializing_seconds,
-        static_cast<double>(s.columns) / s.fused_seconds, s.speedup,
-        static_cast<unsigned long long>(s.hot_path_allocs),
-        static_cast<unsigned long long>(s.workspace_reuse),
-        s.aligned ? "true" : "false", s.bit_identical ? "true" : "false",
-        i + 1 < samples.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"unaligned_loo\": [\n");
-  for (size_t i = 0; i < loo_samples.size(); ++i) {
-    const Sample& s = loo_samples[i];
-    std::fprintf(
-        f,
-        "    {\"universe\": \"%s\", \"target\": \"%s\", "
-        "\"references\": %zu, \"input_nnz\": %zu, \"union_nnz\": %zu, "
-        "\"input_aligned\": %s, \"columns\": %zu, "
-        "\"materializing_seconds\": %.6e, \"fused_seconds\": %.6e, "
-        "\"speedup\": %.3f, \"hot_path_allocs_after_warmup\": %llu, "
-        "\"aligned\": %s, \"bit_identical\": %s}%s\n",
-        s.universe.c_str(), s.target.c_str(), s.references, s.input_nnz,
-        s.shared_nnz, s.input_aligned ? "true" : "false", s.columns,
-        s.materializing_seconds, s.fused_seconds, s.speedup,
-        static_cast<unsigned long long>(s.hot_path_allocs),
-        s.aligned ? "true" : "false", s.bit_identical ? "true" : "false",
-        i + 1 < loo_samples.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"panel_sweep\": {\n");
-  std::fprintf(f, "    \"universe\": \"%s\", \"references\": 10, "
-              "\"columns\": %zu,\n",
-              sweep_uni.name.c_str(), sweep_objectives.size());
-  std::fprintf(f, "    \"baseline\": \"width 1, forced scalar\",\n");
-  std::fprintf(f, "    \"cells\": [\n");
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const SweepSample& s = sweep[i];
-    std::fprintf(
-        f,
-        "      {\"isa\": \"%s\", \"width\": %zu, \"seconds\": %.6e, "
-        "\"cols_per_sec\": %.3f, \"speedup_vs_w1_scalar\": %.3f, "
-        "\"hot_path_allocs_after_warmup\": %llu, "
-        "\"bit_identical\": %s}%s\n",
-        s.isa.c_str(), s.width, s.seconds, s.cols_per_sec,
-        s.speedup_vs_w1_scalar,
-        static_cast<unsigned long long>(s.hot_path_allocs),
-        s.bit_identical ? "true" : "false",
-        i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(f, "    ]\n  }\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
   return ok ? 0 : 1;
 }

@@ -31,7 +31,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,12 +65,7 @@ struct Sample {
   bool bit_identical = true;
 };
 
-size_t Reps() {
-  const char* env = std::getenv("GEOALIGN_BENCH_REPS");
-  if (env == nullptr) return 3;
-  long v = std::atol(env);
-  return v > 0 ? static_cast<size_t>(v) : 3;
-}
+size_t Reps() { return bench::Reps(3); }
 
 size_t MaxCols() {
   const char* env = std::getenv("GEOALIGN_BENCH_MAX_COLS");
@@ -335,49 +329,30 @@ int main(int argc, char** argv) {
   std::printf("\nzero-copy + zero-alloc + bit-identity: %s\n",
               ok ? "PASS" : "FAIL");
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
+  std::vector<bench::Json> series;
+  for (const Sample& s : samples) {
+    const double refs = static_cast<double>(s.references);
+    series.push_back(bench::Obj(
+        {{"references", bench::Num(refs)},
+         {"copy_compile_seconds", bench::Num(s.copy_compile_seconds)},
+         {"view_compile_seconds", bench::Num(s.view_compile_seconds)},
+         {"copy_refs_per_sec", bench::Num(refs / s.copy_compile_seconds)},
+         {"view_refs_per_sec", bench::Num(refs / s.view_compile_seconds)},
+         {"compile_speedup", bench::Num(s.compile_speedup)},
+         {"copy_bytes_copied", bench::Num(s.copy_bytes)},
+         {"view_bytes_copied", bench::Num(s.view_bytes)},
+         {"copy_execute_seconds", bench::Num(s.copy_execute_seconds)},
+         {"view_execute_seconds", bench::Num(s.view_execute_seconds)},
+         {"copy_hot_path_allocs", bench::Num(s.copy_hot_allocs)},
+         {"view_hot_path_allocs", bench::Num(s.view_hot_allocs)},
+         {"bit_identical", bench::Bool(s.bit_identical)}}));
+  }
+  if (!bench::WriteBenchJson(out_path, "ingest_zero_copy", Reps(),
+                             {{"source_units", bench::Num(sources)},
+                              {"target_units", bench::Num(targets)},
+                              {"invariants_hold", bench::Bool(ok)},
+                              {"series", bench::Arr(std::move(series))}})) {
     return 1;
   }
-  std::time_t now = std::time(nullptr);
-  char stamp[32];
-  std::strftime(stamp, sizeof(stamp), "%Y-%m-%d", std::gmtime(&now));
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"ingest_zero_copy\",\n");
-  std::fprintf(f, "  \"date\": \"%s\",\n", stamp);
-  std::fprintf(f, "  \"source_units\": %zu,\n", sources);
-  std::fprintf(f, "  \"target_units\": %zu,\n", targets);
-  std::fprintf(f, "  \"bench_scale\": %.4f,\n", bench::BenchScale());
-  std::fprintf(f, "  \"repetitions\": %zu,\n", Reps());
-  std::fprintf(f, "  \"invariants_hold\": %s,\n", ok ? "true" : "false");
-  std::fprintf(f, "  \"series\": [\n");
-  for (size_t i = 0; i < samples.size(); ++i) {
-    const Sample& s = samples[i];
-    std::fprintf(
-        f,
-        "    {\"references\": %zu, "
-        "\"copy_compile_seconds\": %.6e, \"view_compile_seconds\": %.6e, "
-        "\"copy_refs_per_sec\": %.3f, \"view_refs_per_sec\": %.3f, "
-        "\"compile_speedup\": %.3f, "
-        "\"copy_bytes_copied\": %llu, \"view_bytes_copied\": %llu, "
-        "\"copy_execute_seconds\": %.6e, \"view_execute_seconds\": %.6e, "
-        "\"copy_hot_path_allocs\": %llu, \"view_hot_path_allocs\": %llu, "
-        "\"bit_identical\": %s}%s\n",
-        s.references, s.copy_compile_seconds, s.view_compile_seconds,
-        static_cast<double>(s.references) / s.copy_compile_seconds,
-        static_cast<double>(s.references) / s.view_compile_seconds,
-        s.compile_speedup,
-        static_cast<unsigned long long>(s.copy_bytes),
-        static_cast<unsigned long long>(s.view_bytes),
-        s.copy_execute_seconds, s.view_execute_seconds,
-        static_cast<unsigned long long>(s.copy_hot_allocs),
-        static_cast<unsigned long long>(s.view_hot_allocs),
-        s.bit_identical ? "true" : "false",
-        i + 1 < samples.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
   return ok ? 0 : 1;
 }

@@ -5,16 +5,18 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "geom/boolean_ops.h"
 #include "geom/voronoi.h"
 #include "linalg/nnls.h"
 #include "linalg/simplex_ls.h"
+#include "oracles/sparse_oracle.h"
 #include "partition/overlay.h"
 #include "spatial/rtree.h"
 #include "sparse/coo_builder.h"
-#include "sparse/sparse_ops.h"
-#include "core/batch.h"
 #include "core/geoalign.h"
 #include "synth/universe.h"
 
@@ -160,7 +162,7 @@ void BM_CrosswalkLoop(benchmark::State& state) {
   auto input0 = std::move(uni->MakeLeaveOneOutInput(0)).ValueOrDie();
   core::GeoAlign geoalign;
   // Inputs prepared outside the timed region, so the comparison with
-  // the batch API isolates the per-objective recomputation cost (not
+  // BM_CrosswalkBatch isolates the per-objective recomputation cost (not
   // reference copying).
   std::vector<core::CrosswalkInput> inputs;
   for (const auto& d : uni->datasets) {
@@ -185,13 +187,20 @@ void BM_CrosswalkBatch(benchmark::State& state) {
   auto uni = synth::BuildUniverse(synth::UniverseId::kNortheast, opts);
   uni.status().CheckOK();
   auto input0 = std::move(uni->MakeLeaveOneOutInput(0)).ValueOrDie();
-  auto batch = std::move(core::BatchCrosswalk::Create(input0.references)).ValueOrDie();
-  std::vector<core::BatchCrosswalk::Objective> objectives;
-  for (const auto& d : uni->datasets) {
-    objectives.push_back({d.name, d.source});
-  }
+  // One compiled plan serves every objective column through
+  // ExecuteMany on a hardware-sized pool.
+  auto plan = std::move(core::CrosswalkPlan::Compile(
+                            input0.references, core::GeoAlignOptions{}))
+                  .ValueOrDie();
+  std::unique_ptr<common::ThreadPool> pool =
+      common::MakePoolOrNull(common::ResolveThreadCount(0));
+  const auto column = [&](size_t i,
+                          linalg::Vector*) -> Result<common::ColumnView> {
+    return common::ColumnView(uni->datasets[i].source);
+  };
   for (auto _ : state) {
-    auto res = batch.Run(objectives);
+    auto res = plan.ExecuteMany(uni->datasets.size(), column, pool.get(),
+                                core::ExecuteOutput::kAggregatesOnly);
     res.status().CheckOK();
     benchmark::DoNotOptimize(res->size());
   }

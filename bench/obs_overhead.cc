@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <vector>
 
 #include "bench_util.h"
@@ -29,12 +28,7 @@
 namespace geoalign {
 namespace {
 
-size_t Reps() {
-  const char* env = std::getenv("GEOALIGN_BENCH_REPS");
-  if (env == nullptr) return 3;
-  long v = std::atol(env);
-  return v > 0 ? static_cast<size_t>(v) : 3;
-}
+size_t Reps() { return bench::Reps(3); }
 
 // Best-of-reps nanoseconds per op for `fn` run kOps times.
 template <typename Fn>
@@ -124,31 +118,16 @@ int main(int argc, char** argv) {
   double exec_ratio = exec_on_ns / exec_off_ns;
   std::printf("\nplan_execute enabled/disabled ratio: %.4f\n", exec_ratio);
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
+  std::vector<bench::Json> ops;
+  for (const Row& r : rows) {
+    ops.push_back(bench::Obj({{"op", bench::Str(r.name)},
+                              {"enabled_ns", bench::Num(r.enabled_ns)},
+                              {"disabled_ns", bench::Num(r.disabled_ns)}}));
   }
-  std::time_t now = std::time(nullptr);
-  char stamp[32];
-  std::strftime(stamp, sizeof(stamp), "%Y-%m-%d", std::gmtime(&now));
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"obs_overhead\",\n");
-  std::fprintf(f, "  \"date\": \"%s\",\n", stamp);
-  std::fprintf(f, "  \"bench_scale\": %.4f,\n", bench::BenchScale());
-  std::fprintf(f, "  \"repetitions\": %zu,\n", Reps());
-  std::fprintf(f, "  \"plan_execute_enabled_over_disabled\": %.4f,\n",
-               exec_ratio);
-  std::fprintf(f, "  \"ops\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"op\": \"%s\", \"enabled_ns\": %.2f, "
-                 "\"disabled_ns\": %.2f}%s\n",
-                 rows[i].name, rows[i].enabled_ns, rows[i].disabled_ns,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
-  return 0;
+  return bench::WriteBenchJson(
+             out_path, "obs_overhead", Reps(),
+             {{"plan_execute_enabled_over_disabled", bench::Num(exec_ratio)},
+              {"ops", bench::Arr(std::move(ops))}})
+             ? 0
+             : 1;
 }

@@ -17,11 +17,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <ctime>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/float_eq.h"
 #include "common/random.h"
 #include "eval/report.h"
@@ -29,25 +28,14 @@
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/timer.h"
+#include "oracles/overlay_reference.h"
 #include "partition/overlay.h"
 #include "partition/overlay_prepared.h"
 
 namespace geoalign {
 namespace {
 
-double BenchScale() {
-  const char* env = std::getenv("GEOALIGN_BENCH_SCALE");
-  if (env == nullptr) return 1.0;
-  double v = std::atof(env);
-  return v > 0.0 ? v : 1.0;
-}
-
-size_t Reps() {
-  const char* env = std::getenv("GEOALIGN_BENCH_REPS");
-  if (env == nullptr) return 3;
-  long v = std::atol(env);
-  return v > 0 ? static_cast<size_t>(v) : 3;
-}
+size_t Reps() { return bench::Reps(3); }
 
 partition::PolygonPartition MakeGridLayer(Rng& rng, size_t n_units,
                                           double world) {
@@ -210,7 +198,7 @@ int main(int argc, char** argv) {
   const char* out_path =
       argc > 1 ? argv[1] : "BENCH_overlay_construction.json";
   obs::SetEnabled(true);
-  double scale = BenchScale();
+  double scale = bench::BenchScale();
 
   struct Config {
     const char* name;
@@ -261,43 +249,28 @@ int main(int argc, char** argv) {
   std::printf("zero steady-state hot-path allocs: %s\n",
               all_zero_alloc ? "PASS" : "FAIL");
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
+  bench::JsonObject universes;
+  for (const UniverseResult& r : results) {
+    universes[r.name] = bench::Obj(
+        {{"source_units", bench::Num(r.source_units)},
+         {"target_units", bench::Num(r.target_units)},
+         {"candidate_pairs", bench::Num(r.candidate_pairs)},
+         {"cells", bench::Num(r.cells)},
+         {"seconds_reference", bench::Num(r.seconds_reference)},
+         {"seconds_engine", bench::Num(r.seconds_engine)},
+         {"seconds_fast", bench::Num(r.seconds_fast)},
+         {"seconds_fast_warm", bench::Num(r.seconds_fast_warm)},
+         {"speedup_engine", bench::Num(r.speedup_engine)},
+         {"speedup_fast", bench::Num(r.speedup_fast)},
+         {"hot_allocs_steady", bench::Num(r.hot_allocs_steady)},
+         {"bit_identical", bench::Bool(r.bit_identical)}});
+  }
+  if (!bench::WriteBenchJson(
+          out_path, "overlay_construction", Reps(),
+          {{"bit_identical_all", bench::Bool(all_identical)},
+           {"zero_steady_state_allocs", bench::Bool(all_zero_alloc)},
+           {"universes", bench::Obj(std::move(universes))}})) {
     return 1;
   }
-  std::time_t now = std::time(nullptr);
-  char stamp[32];
-  std::strftime(stamp, sizeof(stamp), "%Y-%m-%d", std::gmtime(&now));
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"overlay_construction\",\n");
-  std::fprintf(f, "  \"date\": \"%s\",\n", stamp);
-  std::fprintf(f, "  \"bench_scale\": %.4f,\n", scale);
-  std::fprintf(f, "  \"repetitions\": %zu,\n", Reps());
-  std::fprintf(f, "  \"bit_identical_all\": %s,\n",
-               all_identical ? "true" : "false");
-  std::fprintf(f, "  \"zero_steady_state_allocs\": %s,\n",
-               all_zero_alloc ? "true" : "false");
-  std::fprintf(f, "  \"universes\": {\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const UniverseResult& r = results[i];
-    std::fprintf(
-        f,
-        "    \"%s\": {\"source_units\": %zu, \"target_units\": %zu, "
-        "\"candidate_pairs\": %zu, \"cells\": %zu,\n"
-        "      \"seconds_reference\": %.6e, \"seconds_engine\": %.6e, "
-        "\"seconds_fast\": %.6e, \"seconds_fast_warm\": %.6e,\n"
-        "      \"speedup_engine\": %.3f, \"speedup_fast\": %.3f, "
-        "\"hot_allocs_steady\": %llu, \"bit_identical\": %s}%s\n",
-        r.name.c_str(), r.source_units, r.target_units, r.candidate_pairs,
-        r.cells, r.seconds_reference, r.seconds_engine, r.seconds_fast,
-        r.seconds_fast_warm, r.speedup_engine, r.speedup_fast,
-        static_cast<unsigned long long>(r.hot_allocs_steady),
-        r.bit_identical ? "true" : "false",
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
   return all_identical && all_zero_alloc ? 0 : 1;
 }

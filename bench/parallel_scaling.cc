@@ -5,8 +5,9 @@
 //  * crosswalk — one GeoAlign::Crosswalk with options.threads = T.
 //    A single plan execute runs inline, so this series is flat by
 //    design; it stays as the check that T never changes its bits;
-//  * batch — BatchCrosswalk::Run over independent objective columns
-//    with options.threads = T (panel groups run on the pool).
+//  * batch — one compiled plan's CrosswalkPlan::ExecuteMany over
+//    independent objective columns on a T-worker pool (panel groups
+//    run on the pool).
 //
 // Every configuration is also checked for BIT-identical output against
 // threads = 1 (the deterministic-reduction contract), and the series
@@ -18,17 +19,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <ctime>
-#include <string>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
-#include "obs/timer.h"
-#include "core/batch.h"
+#include "common/thread_pool.h"
 #include "core/geoalign.h"
 #include "eval/report.h"
+#include "obs/timer.h"
 
 namespace geoalign {
 namespace {
@@ -40,12 +39,7 @@ struct Sample {
   bool bit_identical = true;
 };
 
-size_t Reps() {
-  const char* env = std::getenv("GEOALIGN_BENCH_REPS");
-  if (env == nullptr) return 5;
-  long v = std::atol(env);
-  return v > 0 ? static_cast<size_t>(v) : 5;
-}
+size_t Reps() { return bench::Reps(5); }
 
 const std::vector<size_t> kThreadCounts = {1, 2, 4, 8};
 
@@ -80,8 +74,8 @@ std::vector<Sample> BenchCrosswalk(const synth::Universe& uni) {
   return samples;
 }
 
-// Times a BatchCrosswalk over independent objectives (outer layer):
-// the first half of the suite acts as the shared reference set, every
+// Times ExecuteMany over independent objectives (outer layer): the
+// first half of the suite acts as the shared reference set, every
 // remaining dataset is an objective column.
 std::vector<Sample> BenchBatch(const synth::Universe& uni, size_t* num_objs,
                                size_t* num_refs) {
@@ -91,26 +85,28 @@ std::vector<Sample> BenchBatch(const synth::Universe& uni, size_t* num_objs,
     references.push_back(
         {uni.datasets[k].name, uni.datasets[k].source, uni.datasets[k].dm});
   }
-  std::vector<core::BatchCrosswalk::Objective> objectives;
-  for (size_t k = half; k < uni.datasets.size(); ++k) {
-    objectives.push_back({uni.datasets[k].name, uni.datasets[k].source});
-  }
-  *num_objs = objectives.size();
+  *num_objs = uni.datasets.size() - half;
   *num_refs = references.size();
+  auto plan = std::move(core::CrosswalkPlan::Compile(
+                            references, core::GeoAlignOptions{}))
+                  .ValueOrDie();
+  const auto column = [&](size_t i,
+                          linalg::Vector*) -> Result<common::ColumnView> {
+    return common::ColumnView(uni.datasets[half + i].source);
+  };
 
   std::vector<Sample> samples;
   std::vector<linalg::Vector> baseline;
   for (size_t threads : kThreadCounts) {
-    core::GeoAlignOptions opts;
-    opts.threads = threads;
-    auto batch =
-        std::move(core::BatchCrosswalk::Create(references, opts)).ValueOrDie();
+    std::unique_ptr<common::ThreadPool> pool =
+        common::MakePoolOrNull(threads);
     Sample s;
     s.threads = threads;
     s.seconds = 1e300;
     for (size_t rep = 0; rep < Reps(); ++rep) {
       Stopwatch watch;
-      auto results = batch.Run(objectives);
+      auto results = plan.ExecuteMany(*num_objs, column, pool.get(),
+                                      core::ExecuteOutput::kAggregatesOnly);
       results.status().CheckOK();
       s.seconds = std::min(s.seconds, watch.ElapsedSeconds());
       if (rep == 0) {
@@ -143,19 +139,16 @@ void PrintSection(const char* name, const std::vector<Sample>& samples) {
   table.Print();
 }
 
-void WriteJsonSection(std::FILE* f, const char* name,
-                      const std::vector<Sample>& samples, bool trailing_comma) {
-  std::fprintf(f, "  \"%s\": {\n    \"series\": [\n", name);
-  for (size_t i = 0; i < samples.size(); ++i) {
-    const Sample& s = samples[i];
-    std::fprintf(f,
-                 "      {\"threads\": %zu, \"seconds\": %.6e, "
-                 "\"speedup\": %.3f, \"bit_identical\": %s}%s\n",
-                 s.threads, s.seconds, s.speedup,
-                 s.bit_identical ? "true" : "false",
-                 i + 1 < samples.size() ? "," : "");
+bench::Json SeriesJson(const std::vector<Sample>& samples) {
+  std::vector<bench::Json> series;
+  for (const Sample& s : samples) {
+    series.push_back(
+        bench::Obj({{"threads", bench::Num(s.threads)},
+                    {"seconds", bench::Num(s.seconds)},
+                    {"speedup", bench::Num(s.speedup)},
+                    {"bit_identical", bench::Bool(s.bit_identical)}}));
   }
-  std::fprintf(f, "    ]\n  }%s\n", trailing_comma ? "," : "");
+  return bench::Obj({{"series", bench::Arr(std::move(series))}});
 }
 
 }  // namespace
@@ -187,32 +180,19 @@ int main(int argc, char** argv) {
   std::printf("\nbit-identity across all thread counts: %s\n",
               all_identical ? "PASS" : "FAIL");
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
+  if (!bench::WriteBenchJson(
+          out_path, "parallel_scaling", Reps(),
+          {{"universe", bench::Str(uni.name)},
+           {"zips", bench::Num(uni.NumZips())},
+           {"counties", bench::Num(uni.NumCounties())},
+           {"hardware_concurrency",
+            bench::Num(std::thread::hardware_concurrency())},
+           {"batch_objectives", bench::Num(num_objs)},
+           {"batch_references", bench::Num(num_refs)},
+           {"bit_identical_all", bench::Bool(all_identical)},
+           {"crosswalk", SeriesJson(crosswalk)},
+           {"batch", SeriesJson(batch)}})) {
     return 1;
   }
-  std::time_t now = std::time(nullptr);
-  char stamp[32];
-  std::strftime(stamp, sizeof(stamp), "%Y-%m-%d", std::gmtime(&now));
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"parallel_scaling\",\n");
-  std::fprintf(f, "  \"date\": \"%s\",\n", stamp);
-  std::fprintf(f, "  \"universe\": \"%s\",\n", uni.name.c_str());
-  std::fprintf(f, "  \"zips\": %zu,\n  \"counties\": %zu,\n", uni.NumZips(),
-               uni.NumCounties());
-  std::fprintf(f, "  \"bench_scale\": %.4f,\n", bench::BenchScale());
-  std::fprintf(f, "  \"repetitions\": %zu,\n", Reps());
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"batch_objectives\": %zu,\n", num_objs);
-  std::fprintf(f, "  \"batch_references\": %zu,\n", num_refs);
-  std::fprintf(f, "  \"bit_identical_all\": %s,\n",
-               all_identical ? "true" : "false");
-  WriteJsonSection(f, "crosswalk", crosswalk, /*trailing_comma=*/true);
-  WriteJsonSection(f, "batch", batch, /*trailing_comma=*/false);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
   return all_identical ? 0 : 1;
 }

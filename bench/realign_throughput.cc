@@ -23,7 +23,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -36,6 +35,7 @@
 #include "core/geoalign.h"
 #include "core/pipeline.h"
 #include "eval/report.h"
+#include "oracles/crosswalk_uncompiled.h"
 
 namespace geoalign {
 namespace {
@@ -49,12 +49,7 @@ struct Sample {
   bool bit_identical = true;
 };
 
-size_t Reps() {
-  const char* env = std::getenv("GEOALIGN_BENCH_REPS");
-  if (env == nullptr) return 3;
-  long v = std::atol(env);
-  return v > 0 ? static_cast<size_t>(v) : 3;
-}
+size_t Reps() { return bench::Reps(3); }
 
 size_t MaxCols() {
   const char* env = std::getenv("GEOALIGN_BENCH_MAX_COLS");
@@ -235,44 +230,29 @@ int main(int argc, char** argv) {
   std::printf("\nbit-identity across all column counts: %s\n",
               all_identical ? "PASS" : "FAIL");
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
+  std::vector<bench::Json> series;
+  for (const Sample& s : samples) {
+    const double cols = static_cast<double>(s.columns);
+    series.push_back(bench::Obj(
+        {{"columns", bench::Num(cols)},
+         {"legacy_seconds", bench::Num(s.legacy_seconds)},
+         {"compiled_seconds", bench::Num(s.compiled_seconds)},
+         {"compile_seconds", bench::Num(s.compile_seconds)},
+         {"legacy_cols_per_sec", bench::Num(cols / s.legacy_seconds)},
+         {"compiled_cols_per_sec", bench::Num(cols / s.compiled_seconds)},
+         {"speedup", bench::Num(s.speedup)},
+         {"bit_identical", bench::Bool(s.bit_identical)}}));
+  }
+  if (!bench::WriteBenchJson(
+          out_path, "realign_throughput", Reps(),
+          {{"universe", bench::Str(uni.name)},
+           {"zips", bench::Num(uni.NumZips())},
+           {"counties", bench::Num(uni.NumCounties())},
+           {"references", bench::Num(input.references.size())},
+           {"telemetry_enabled", bench::Bool(obs::Enabled())},
+           {"bit_identical_all", bench::Bool(all_identical)},
+           {"series", bench::Arr(std::move(series))}})) {
     return 1;
   }
-  std::time_t now = std::time(nullptr);
-  char stamp[32];
-  std::strftime(stamp, sizeof(stamp), "%Y-%m-%d", std::gmtime(&now));
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"realign_throughput\",\n");
-  std::fprintf(f, "  \"date\": \"%s\",\n", stamp);
-  std::fprintf(f, "  \"universe\": \"%s\",\n", uni.name.c_str());
-  std::fprintf(f, "  \"zips\": %zu,\n  \"counties\": %zu,\n", uni.NumZips(),
-               uni.NumCounties());
-  std::fprintf(f, "  \"references\": %zu,\n", input.references.size());
-  std::fprintf(f, "  \"bench_scale\": %.4f,\n", bench::BenchScale());
-  std::fprintf(f, "  \"repetitions\": %zu,\n", Reps());
-  std::fprintf(f, "  \"telemetry_enabled\": %s,\n",
-               obs::Enabled() ? "true" : "false");
-  std::fprintf(f, "  \"bit_identical_all\": %s,\n",
-               all_identical ? "true" : "false");
-  std::fprintf(f, "  \"series\": [\n");
-  for (size_t i = 0; i < samples.size(); ++i) {
-    const Sample& s = samples[i];
-    std::fprintf(
-        f,
-        "    {\"columns\": %zu, \"legacy_seconds\": %.6e, "
-        "\"compiled_seconds\": %.6e, \"compile_seconds\": %.6e, "
-        "\"legacy_cols_per_sec\": %.3f, \"compiled_cols_per_sec\": %.3f, "
-        "\"speedup\": %.3f, \"bit_identical\": %s}%s\n",
-        s.columns, s.legacy_seconds, s.compiled_seconds, s.compile_seconds,
-        static_cast<double>(s.columns) / s.legacy_seconds,
-        static_cast<double>(s.columns) / s.compiled_seconds, s.speedup,
-        s.bit_identical ? "true" : "false",
-        i + 1 < samples.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
   return all_identical ? 0 : 1;
 }

@@ -4,8 +4,9 @@
  * computes (tools/ci.sh): one reference attribute whose disaggregation
  * matrix comes from the gate's crosswalk CSV, executed for the gate's
  * objective column, printed in the CLI's output format ("unit,value"
- * header, %.12g values). The gate diffs this program's stdout against
- * the CLI's — any numeric or formatting drift fails CI.
+ * header, %.17g values, which round-trip every double). The gate diffs
+ * this program's stdout against the CLI's — any numeric or formatting
+ * drift fails CI.
  *
  * Build (no C++ anywhere in this translation unit):
  *   cc -std=c99 -Wall -Werror capi_smoke.c -lgeoalign_c
@@ -76,7 +77,7 @@ int main(void) {
   /* Same shape as io::ToCsv on the CLI's {"unit","value"} table. */
   printf("unit,value\n");
   for (j = 0; j < 2; ++j) {
-    printf("%s,%.12g\n", target_units[j], target[j]);
+    printf("%s,%.17g\n", target_units[j], target[j]);
   }
 
   geoalign_plan_destroy(plan);

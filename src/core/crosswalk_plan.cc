@@ -97,9 +97,9 @@ obs::Gauge& ExecuteIsaGauge() {
   return g;
 }
 
-// Serving-surface telemetry, recorded by ExecuteMany for both
-// CrosswalkPipeline::RealignMany and BatchCrosswalk::Run (the pipeline's
-// single-column Realign shares the keys).
+// Serving-surface telemetry, recorded by ExecuteMany (behind
+// CrosswalkPipeline::RealignMany; the pipeline's single-column Realign
+// shares the keys).
 obs::Histogram& RealignLatencyUs() {
   static obs::Histogram& h =
       obs::MetricsRegistry::Global().GetHistogram("realign.latency_us");
@@ -143,6 +143,20 @@ obs::Counter& WeightSolveCount(WeightSolver solver) {
 }  // namespace
 
 namespace internal {
+
+Result<std::pair<linalg::Matrix, linalg::Vector>> BuildNormalizedSystem(
+    const CrosswalkInput& input) {
+  std::vector<linalg::Vector> cols;
+  cols.reserve(input.references.size());
+  for (const ReferenceAttribute& ref : input.references) {
+    GEOALIGN_ASSIGN_OR_RETURN(linalg::Vector norm,
+                              linalg::NormalizeByMax(ref.source_aggregates));
+    cols.push_back(std::move(norm));
+  }
+  GEOALIGN_ASSIGN_OR_RETURN(linalg::Vector b,
+                            linalg::NormalizeByMax(input.objective_source));
+  return std::make_pair(linalg::Matrix::FromColumns(cols), std::move(b));
+}
 
 Result<linalg::Vector> SolveWeightsForDesign(const linalg::Matrix& a,
                                              const linalg::Vector& b,

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -19,9 +20,15 @@ namespace geoalign::core {
 
 namespace internal {
 
+/// Builds the normalized design matrix A (columns = a'^s_rk) and b
+/// (= a'^s_o) of Eq. 15 for `input` — GeoAlign::LearnWeights' system,
+/// shared with the per-call test oracle (tests/oracles/).
+Result<std::pair<linalg::Matrix, linalg::Vector>> BuildNormalizedSystem(
+    const CrosswalkInput& input);
+
 /// Learns β for a prebuilt normalized design (Eq. 15) under every
 /// WeightSolver — the solver dispatch previously private to
-/// GeoAlign::Crosswalk, shared verbatim by the legacy path and the
+/// GeoAlign::Crosswalk, shared verbatim by the per-call oracle and the
 /// compiled plan so both learn bit-identical weights.
 Result<linalg::Vector> SolveWeightsForDesign(const linalg::Matrix& a,
                                              const linalg::Vector& b,
@@ -39,7 +46,8 @@ Result<linalg::Vector> SolveWeightsForDesign(const linalg::Matrix& a,
 /// {ScaleMode, WeightSolver, DenominatorMode, ZeroRowFallback} ×
 /// threads combination (threads only schedule ExecuteMany groups),
 /// `Compile(input, opts) → Execute(obj)` produces exactly the bits of
-/// the legacy per-call path (`CrosswalkUncompiled` in core/geoalign.h).
+/// the legacy per-call path (kept as a test oracle,
+/// tests/oracles/crosswalk_uncompiled.h).
 /// The hoisted quantities make that possible:
 ///  - the simplex solve goes through SolveSimplexLsFromNormalEquations,
 ///    which is the literal tail of SolveSimplexLeastSquares, so a
@@ -156,7 +164,7 @@ class CrosswalkPlan {
 
   /// Executes `count` objective columns over this one plan — the
   /// paper-§6 portal shape, and the single many-column entry behind
-  /// CrosswalkPipeline::RealignMany and BatchCrosswalk::Run.
+  /// CrosswalkPipeline::RealignMany.
   ///  - Groups: panel_width() columns per group, one
   ///    sparse::FusedAggregatesPanel call each, for both output shapes
   ///    (kFullDm panels also emit every lane's DM̂_o).

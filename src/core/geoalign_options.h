@@ -92,13 +92,11 @@ struct GeoAlignOptions {
   /// the pointee, so a compiled plan does NOT require the original to
   /// stay alive.)
   const sparse::CsrMatrix* fallback_dm = nullptr;
-  /// Worker threads: 0 = one per hardware thread, 1 = inline on the
-  /// calling thread. Drives the many-column fan-out (BatchCrosswalk,
-  /// whose ExecuteMany groups run concurrently) and the legacy oracle
-  /// CrosswalkUncompiled's row-chunked kernels; a single plan execute
-  /// always runs inline. Outputs are bit-identical for every value —
-  /// fixed chunk boundaries and ordered combines (the deterministic-
-  /// reduction contract, docs/parallelism.md).
+  /// Worker threads for the per-call test oracle's row-chunked kernels
+  /// (tests/oracles/): 0 = one per hardware thread, 1 = inline. Plans
+  /// ignore it — Compile does not read it and it is not part of a
+  /// PlanCache key; a plan execute always runs inline, and
+  /// CrosswalkPlan::ExecuteMany fans out on the pool its caller passes.
   size_t threads = 0;
   /// Options forwarded to the simplex solver.
   linalg::SimplexLsOptions solver_options;

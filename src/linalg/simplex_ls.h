@@ -41,7 +41,7 @@ Result<SimplexLsSolution> SolveSimplexLeastSquares(
 /// Same problem expressed through the normal equations: `gram` = A^T A,
 /// `atb` = A^T b, and `btb` = b^T b (only used to report the residual
 /// norm). Lets callers that solve many right-hand sides against one
-/// design matrix (core::BatchCrosswalk) reuse the Gram matrix.
+/// design matrix (core::CrosswalkPlan) reuse the Gram matrix.
 Result<SimplexLsSolution> SolveSimplexLsFromNormalEquations(
     const Matrix& gram, const Vector& atb, double btb,
     const SimplexLsOptions& options = {});

@@ -206,11 +206,21 @@ void FlightRecorder::Record(AuditRecord record) {
   std::memcpy(record.request_id, req.id, sizeof(record.request_id));
   Slot& slot = slots_[i % kCapacity];
   // Per-slot seqlock: odd stamp while the words are in flux, even (and
-  // derived from the ordinal, so monotonically increasing) once
-  // published. A reader whose acquire load sees any new word also sees
-  // the odd stamp, so a torn copy never passes its second stamp check.
+  // derived from the ordinal) once published. A reader whose acquire
+  // load sees any new word also sees the odd stamp, so a torn copy
+  // never passes its second stamp check. The writer claims the slot by
+  // CAS from a published stamp of an earlier lap (or 0): a writer that
+  // finds the slot mid-write or already claimed by a later ordinal
+  // (its ordinal was lapped) drops its record instead of interleaving
+  // words with the other writer behind an even, stable stamp. Stamps
+  // only grow, so the CAS cannot be fooled by ABA.
+  uint64_t seen = slot.stamp.load(std::memory_order_relaxed);
+  if ((seen & 1) != 0 || seen > 2 * i ||
+      !slot.stamp.compare_exchange_strong(seen, 2 * i + 1,
+                                          std::memory_order_relaxed)) {
+    return;
+  }
   const auto* bytes = reinterpret_cast<const unsigned char*>(&record);
-  slot.stamp.store(2 * i + 1, std::memory_order_relaxed);
   for (size_t w = 0; w < kRecordWords; ++w) {
     uint64_t word = 0;
     std::memcpy(&word, bytes + w * sizeof(word), sizeof(word));

@@ -54,10 +54,12 @@ struct AuditRecord {
   uint32_t ok = 1;
 };
 
-/// Fixed-capacity ring of AuditRecords. Writers claim slots with one
-/// fetch_add and publish with a per-slot seqlock stamp; readers (and
-/// the signal-time dumper) detect torn slots and skip them, so neither
-/// side ever blocks.
+/// Fixed-capacity ring of AuditRecords. Writers take ordinals with one
+/// fetch_add, claim the ordinal's slot by CAS on its seqlock stamp and
+/// publish with a release store; readers (and the signal-time dumper)
+/// detect torn slots and skip them, so neither side ever blocks. A
+/// writer whose slot is still being written by an earlier lap, or was
+/// already claimed by a later one, drops its record.
 class FlightRecorder {
  public:
   static constexpr size_t kCapacity = 256;
@@ -69,14 +71,16 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Stamps `record` with the next ordinal and the current thread's
-  /// request identity, then publishes it into the ring.
+  /// request identity, then publishes it into the ring (or drops it
+  /// when its slot is contended, see the class comment).
   void Record(AuditRecord record);
 
   /// Consistent copies of the currently readable records, oldest
   /// first. Skips slots being written at read time.
   std::vector<AuditRecord> Collect() const;
 
-  /// Total records ever published (>= Collect().size()).
+  /// Total ordinals handed out, dropped records included
+  /// (>= Collect().size()).
   uint64_t TotalRecorded() const;
 
   /// Renders the full JSONL dump (header with `reason`, audit lines,

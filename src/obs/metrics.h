@@ -74,9 +74,6 @@ class Gauge {
     if (!Enabled()) return;
     value_.fetch_add(n, std::memory_order_relaxed);
   }
-  // Gauge::Add is void; the name-level lint maps the bare call to the
-  // fallible sparse::Add, hence the suppression.
-  // NOLINTNEXTLINE(geoalign-discarded-status)
   void Sub(int64_t n) { Add(-n); }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }

@@ -76,7 +76,7 @@ const RequestToken& CurrentRequest();
 uint64_t CurrentRequestSeq();
 
 /// Opens a generated-id RequestScope only if this thread has none —
-/// serving entry points (RealignMany, BatchCrosswalk::Run, the CLI)
+/// serving entry points (ExecuteMany behind RealignMany, the CLI)
 /// use this so audit records always carry an id while caller-supplied
 /// scopes still win.
 class EnsureRequestScope {

@@ -76,8 +76,8 @@ struct OverlayOptions {
   /// clip outer rings directly instead of summing the triangle-fan
   /// double loop. Both are exact in real arithmetic but may differ
   /// from the fan path in the last ulp, so they are opt-in; with
-  /// fast_paths=false the engine is bit-identical to
-  /// OverlayPolygonsReference.
+  /// fast_paths=false the engine is bit-identical to the pre-engine
+  /// overlay kept as a test oracle (tests/oracles/overlay_reference.h).
   bool fast_paths = false;
 
   /// Optional caller-owned scratch, reused across overlays. With a
@@ -105,16 +105,6 @@ Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
                                       const PolygonPartition& target,
                                       double min_area = 0.0,
                                       size_t threads = 1);
-
-/// The pre-engine overlay, kept verbatim as the differential oracle:
-/// per-target R-tree queries + per-pair IntersectionArea, no caching,
-/// no workspace. tests/overlay_engine_test.cc asserts the engine (fast
-/// paths off) is bit-identical to this for every universe × thread
-/// count; bench/overlay_scale measures the speedup against it.
-Result<OverlayResult> OverlayPolygonsReference(const PolygonPartition& source,
-                                               const PolygonPartition& target,
-                                               double min_area = 0.0,
-                                               size_t threads = 1);
 
 /// Exact label-join overlay of two partitions of the SAME atom space:
 /// cell (i, j) collects atoms with source label i and target label j.

@@ -139,6 +139,7 @@ struct FusedPanelInputs {
 /// Bit-identity contract: lane p's `target_estimates[p]`,
 /// `zero_rows[p]` and (when requested) `*estimated_dms[p]` carry
 /// exactly the bits of the legacy materializing pipeline for column p
+/// (kept as the test oracle, tests/oracles/crosswalk_uncompiled.h)
 ///   WeightedSum → RowSums/denominators → DivideRowsOrZero →
 ///   ScaleRows → [zero-row fallback rebuild] → ColSumsDeterministic
 /// at every panel width and ISA. Structurally guaranteed: each lane

@@ -1,13 +1,15 @@
-// Tests for the batch crosswalk API and the geometric-path universe,
+// Tests for many-objective batches over one compiled plan
+// (CrosswalkPlan::ExecuteMany) and the geometric-path universe,
 // including the batch-vs-individual equivalence guarantee and the
 // agreement between the geometric and crosswalk-file pipelines.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
+#include "common/thread_pool.h"
 #include "core/areal_weighting.h"
-#include "core/batch.h"
 #include "core/geoalign.h"
 #include "eval/metrics.h"
 #include "linalg/simplex_ls.h"
@@ -27,6 +29,21 @@ const synth::Universe& SmallUniverse() {
         synth::BuildUniverse(synth::UniverseId::kNewYork, opts)).ValueOrDie());
   }();
   return *uni;
+}
+
+// Realigns `objectives` over one plan through ExecuteMany (aggregates
+// only), on a pool sized like GeoAlignOptions{}.threads = 0.
+Result<std::vector<core::CrosswalkResult>> RunBatch(
+    const core::CrosswalkPlan& plan,
+    const std::vector<linalg::Vector>& objectives) {
+  std::unique_ptr<common::ThreadPool> pool =
+      common::MakePoolOrNull(common::ResolveThreadCount(0));
+  return plan.ExecuteMany(
+      objectives.size(),
+      [&](size_t i, linalg::Vector*) -> Result<common::ColumnView> {
+        return common::ColumnView(objectives[i]);
+      },
+      pool.get(), core::ExecuteOutput::kAggregatesOnly);
 }
 
 TEST(SimplexLsNormalEquations, MatchesDirectForm) {
@@ -53,7 +70,7 @@ TEST(SimplexLsNormalEquations, ValidatesShapes) {
       linalg::SolveSimplexLsFromNormalEquations(ok_gram, {1.0}, 1.0).ok());
 }
 
-TEST(BatchCrosswalk, MatchesIndividualGeoAlign) {
+TEST(ExecuteManyBatch, MatchesIndividualGeoAlign) {
   const synth::Universe& uni = SmallUniverse();
   // References: all datasets except the first two; objectives: those
   // two, crosswalked both individually and as a batch.
@@ -65,15 +82,15 @@ TEST(BatchCrosswalk, MatchesIndividualGeoAlign) {
     ref.disaggregation = uni.datasets[k].dm;
     refs.push_back(std::move(ref));
   }
-  auto batch = std::move(core::BatchCrosswalk::Create(refs)).ValueOrDie();
-  EXPECT_EQ(batch.NumSourceUnits(), uni.NumZips());
-  EXPECT_EQ(batch.NumTargetUnits(), uni.NumCounties());
+  auto plan = std::move(core::CrosswalkPlan::Compile(
+                            refs, core::GeoAlignOptions{}))
+                  .ValueOrDie();
+  EXPECT_EQ(plan.num_source_units(), uni.NumZips());
+  EXPECT_EQ(plan.num_target_units(), uni.NumCounties());
 
-  std::vector<core::BatchCrosswalk::Objective> objectives;
-  for (size_t t = 0; t < 2; ++t) {
-    objectives.push_back({uni.datasets[t].name, uni.datasets[t].source});
-  }
-  auto results = std::move(batch.Run(objectives)).ValueOrDie();
+  std::vector<linalg::Vector> objectives;
+  for (size_t t = 0; t < 2; ++t) objectives.push_back(uni.datasets[t].source);
+  auto results = std::move(RunBatch(plan, objectives)).ValueOrDie();
   ASSERT_EQ(results.size(), 2u);
 
   core::GeoAlign geoalign;
@@ -82,7 +99,6 @@ TEST(BatchCrosswalk, MatchesIndividualGeoAlign) {
     input.objective_source = uni.datasets[t].source;
     input.references = refs;
     auto individual = std::move(geoalign.Crosswalk(input)).ValueOrDie();
-    EXPECT_EQ(results[t].name, uni.datasets[t].name);
     EXPECT_TRUE(linalg::AllClose(results[t].target_estimates,
                                  individual.target_estimates, 1e-9))
         << uni.datasets[t].name;
@@ -92,10 +108,11 @@ TEST(BatchCrosswalk, MatchesIndividualGeoAlign) {
   }
 }
 
-TEST(BatchCrosswalk, ValidatesInput) {
-  EXPECT_FALSE(
-      core::BatchCrosswalk::Create(std::vector<core::ReferenceAttribute>{})
-          .ok());
+TEST(ExecuteManyBatch, ValidatesInput) {
+  EXPECT_FALSE(core::CrosswalkPlan::Compile(
+                   std::vector<core::ReferenceAttribute>{},
+                   core::GeoAlignOptions{})
+                   .ok());
   const synth::Universe& uni = SmallUniverse();
   std::vector<core::ReferenceAttribute> refs;
   core::ReferenceAttribute ref;
@@ -103,9 +120,11 @@ TEST(BatchCrosswalk, ValidatesInput) {
   ref.source_aggregates = uni.datasets[2].source;
   ref.disaggregation = uni.datasets[2].dm;
   refs.push_back(std::move(ref));
-  auto batch = std::move(core::BatchCrosswalk::Create(refs)).ValueOrDie();
+  auto plan = std::move(core::CrosswalkPlan::Compile(
+                            refs, core::GeoAlignOptions{}))
+                  .ValueOrDie();
   // Wrong objective length.
-  auto bad = batch.Run({{"x", linalg::Vector{1.0, 2.0}}});
+  auto bad = RunBatch(plan, {linalg::Vector{1.0, 2.0}});
   EXPECT_FALSE(bad.ok());
   // Non-simplex solvers are supported since the compiled-plan rewrite
   // (the plan simply skips the Gram hoist); results must match the
@@ -116,11 +135,13 @@ TEST(BatchCrosswalk, ValidatesInput) {
   ref2.name = uni.datasets[2].name;
   ref2.source_aggregates = uni.datasets[2].source;
   ref2.disaggregation = uni.datasets[2].dm;
-  auto uniform_batch =
-      std::move(core::BatchCrosswalk::Create({ref2}, opts)).ValueOrDie();
-  auto uniform_results = std::move(
-      uniform_batch.Run({{uni.datasets[3].name, uni.datasets[3].source}}))
-      .ValueOrDie();
+  auto uniform_plan =
+      std::move(core::CrosswalkPlan::Compile(
+                    std::vector<core::ReferenceAttribute>{ref2}, opts))
+          .ValueOrDie();
+  auto uniform_results =
+      std::move(RunBatch(uniform_plan, {uni.datasets[3].source}))
+          .ValueOrDie();
   ASSERT_EQ(uniform_results.size(), 1u);
   core::CrosswalkInput uniform_input;
   uniform_input.objective_source = uni.datasets[3].source;

@@ -9,7 +9,8 @@
 #   2. run it against libgeoalign_c.so;
 #   3. run geoalign_cli --method geoalign --output aggregates on the
 #      same crosswalk expressed as CSVs;
-#   4. byte-diff the two outputs (%.12g CSV) — any drift fails.
+#   4. byte-diff the two outputs (%.17g CSV, every bit) — any drift
+#      fails.
 # Usage: capi_smoke_test.sh <repo_root> <build_dir> [sanitizer flags...]
 # The sanitizer flags are the -fsanitize= options the library was built
 # with (GEOALIGN_SANITIZE); the embedder is compiled with them too, so

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -106,7 +108,8 @@ TEST_F(CliTest, SeventeenDigitCrosswalksMatchInProcessPlan) {
   // Two crosswalks over overlapping, different unit ranges, so the CLI
   // must merge universes and re-index both. Every value carries 17
   // significant digits: a text round trip at fewer digits moves the
-  // learned weights and, with them, printed estimates.
+  // learned weights and, with them, printed estimates. The printed
+  // estimates must parse back to the plan's exact bits.
   auto name = [](char prefix, size_t i) {
     return StrFormat("%c%04zu", prefix, i);
   };
@@ -169,7 +172,11 @@ TEST_F(CliTest, SeventeenDigitCrosswalksMatchInProcessPlan) {
   ASSERT_EQ(units.size(), kTargets);
   for (size_t t = 0; t < kTargets; ++t) {
     EXPECT_EQ(units[t], name('t', t));
-    EXPECT_EQ(values[t], StrFormat("%.12g", want.target_estimates[t]))
+    char* end = nullptr;
+    const double parsed = std::strtod(values[t].c_str(), &end);
+    ASSERT_EQ(*end, '\0') << values[t];
+    EXPECT_EQ(std::bit_cast<uint64_t>(parsed),
+              std::bit_cast<uint64_t>(want.target_estimates[t]))
         << "target " << units[t];
   }
 }

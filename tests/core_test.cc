@@ -13,10 +13,10 @@
 #include "core/geoalign.h"
 #include "core/pipeline.h"
 #include "core/pycnophylactic.h"
+#include "oracles/sparse_oracle.h"
 #include "partition/interval_partition.h"
 #include "partition/overlay.h"
 #include "sparse/coo_builder.h"
-#include "sparse/sparse_ops.h"
 
 namespace geoalign::core {
 namespace {

@@ -1,5 +1,5 @@
-// Fixture for tools/geoalign_lint.py: legacy recompile-per-call
-// crosswalk entry points inside a serving hot path (src/eval/ here)
+// Fixture for tools/geoalign_lint.py: recompile-per-call Crosswalk
+// member calls inside a serving hot path (src/eval/ here)
 // must be flagged unless NOLINT'ed with a rationale.
 namespace geoalign::eval {
 
@@ -8,7 +8,6 @@ struct FakeInput {};
 struct FakeMethod {
   FakeResult Crosswalk(const FakeInput&) const { return {}; }
 };
-FakeResult CrosswalkUncompiled(const FakeInput&) { return {}; }
 
 FakeResult ServeColumn(const FakeMethod& method, const FakeInput& input) {
   return method.Crosswalk(input);  // violation: recompiles per call
@@ -16,10 +15,6 @@ FakeResult ServeColumn(const FakeMethod& method, const FakeInput& input) {
 
 FakeResult ServeColumnPtr(const FakeMethod* method, const FakeInput& input) {
   return method->Crosswalk(input);  // violation: pointer member call
-}
-
-FakeResult ServeColumnLegacy(const FakeInput& input) {
-  return CrosswalkUncompiled(input);  // violation: legacy oracle entry
 }
 
 FakeResult ServeColumnSuppressed(const FakeMethod& method,

@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -307,6 +309,74 @@ TEST_F(ObsExportTest, FlightRecorderCollectDuringRecordNeverTears) {
   writer.join();
   EXPECT_EQ(torn, 0u) << "of " << collected << " collected records";
   EXPECT_EQ(recorder.Collect().size(), obs::FlightRecorder::kCapacity);
+}
+
+// The fields of a stress-test record, all derived from one value `v`
+// its writer picks, so a record stitched from two writers' words fails
+// RecordIsWhole.
+obs::AuditRecord MakeDerivedRecord(uint64_t v) {
+  obs::AuditRecord r;
+  r.plan_fingerprint = v;
+  r.panel_width = static_cast<uint32_t>(v * 3);
+  r.isa = static_cast<uint32_t>(v >> 32);
+  r.rows = v * 0x9E3779B97F4A7C15ULL;
+  r.latency_us = ~v;
+  r.zero_rows = v ^ 0x5555555555555555ULL;
+  r.fallback = static_cast<uint32_t>(v + 1);
+  r.ok = static_cast<uint32_t>(v >> 7);
+  return r;
+}
+
+bool RecordIsWhole(const obs::AuditRecord& r) {
+  const obs::AuditRecord want = MakeDerivedRecord(r.plan_fingerprint);
+  return r.panel_width == want.panel_width && r.isa == want.isa &&
+         r.rows == want.rows && r.latency_us == want.latency_us &&
+         r.zero_rows == want.zero_rows && r.fallback == want.fallback &&
+         r.ok == want.ok;
+}
+
+// Writers lapping one another: with more writers than cores, some are
+// preempted mid-record while the rest go round the ring, so writers
+// whose ordinals are kCapacity apart race for one slot. Neither a
+// concurrent Collect nor the one after the writers stop may ever
+// return a torn record. Short rounds, because a writer preempted
+// mid-record when its round stops resumes last and, without a slot
+// claim, publishes a record it interleaved with the lapping writers.
+TEST_F(ObsExportTest, FlightRecorderLappingWritersNeverTear) {
+  constexpr uint64_t kWriters = 16;
+  constexpr int kRounds = 20;
+  auto recorder = std::make_unique<obs::FlightRecorder>();
+  size_t collected = 0;
+  size_t torn = 0;
+  auto check = [&](const std::vector<obs::AuditRecord>& records) {
+    for (const obs::AuditRecord& r : records) {
+      ++collected;
+      if (!RecordIsWhole(r)) ++torn;
+    }
+  };
+  for (int round = 0; round < kRounds; ++round) {
+    recorder->Clear();
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> writers;
+    for (uint64_t w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&recorder, &stop, w] {
+        for (uint64_t n = 0; !stop.load(std::memory_order_relaxed); ++n) {
+          recorder->Record(MakeDerivedRecord((w << 48) | n));
+        }
+      });
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+    while (std::chrono::steady_clock::now() < deadline) {
+      check(recorder->Collect());
+    }
+    stop.store(true, std::memory_order_relaxed);
+    for (std::thread& t : writers) t.join();
+    const std::vector<obs::AuditRecord> final_records = recorder->Collect();
+    EXPECT_EQ(final_records.size(), obs::FlightRecorder::kCapacity);
+    check(final_records);
+  }
+  EXPECT_EQ(torn, 0u) << "of " << collected << " collected records";
 }
 
 TEST_F(ObsExportTest, FlightRecorderDumpIsParseableJsonl) {

@@ -19,6 +19,7 @@
 #include "geom/voronoi.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "oracles/overlay_reference.h"
 #include "partition/overlay.h"
 #include "partition/overlay_prepared.h"
 #include "spatial/rtree.h"

@@ -29,6 +29,7 @@
 
 #include "common/thread_pool.h"
 #include "core/geoalign.h"
+#include "oracles/crosswalk_uncompiled.h"
 #include "core/plan_cache.h"
 #include "synth/universe.h"
 

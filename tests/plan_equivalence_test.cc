@@ -2,14 +2,14 @@
 // {ScaleMode, WeightSolver, DenominatorMode, ZeroRowFallback} × threads
 // combination, `CrosswalkPlan::Compile → Execute` and the thin
 // `GeoAlign::Crosswalk` wrapper must produce exactly the bits of the
-// preserved legacy oracle `CrosswalkUncompiled` — no tolerances. The
-// sweep is a four-way oracle: the fused aggregates-only lane
+// preserved legacy oracle `CrosswalkUncompiled` (tests/oracles/) — no
+// tolerances. The sweep is a four-way oracle: the fused aggregates-only lane
 // (ExecuteOutput::kAggregatesOnly through a reused ExecuteWorkspace)
 // and the SIMD column-panel lane (ExecutePanelWith, every lane of a
 // replicated panel) must carry the same bits while never materializing
 // DM̂_o. Also covers plan reuse/immutability, the PlanCache (including
 // forced-ISA independence of cached plans), the pipeline serving path,
-// and the batch façade.
+// and many-column batches through ExecuteMany.
 
 #include <gtest/gtest.h>
 
@@ -23,13 +23,13 @@
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "core/batch.h"
 #include "core/geoalign.h"
 #include "core/pipeline.h"
 #include "core/plan_cache.h"
 #include "eval/cross_validation.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "oracles/crosswalk_uncompiled.h"
 #include "sparse/coo_builder.h"
 #include "sparse/simd/panel_kernels.h"
 #include "synth/universe.h"
@@ -103,6 +103,21 @@ void ExpectAggregatesOnly(const core::CrosswalkResult& got,
   ASSERT_EQ(got.zero_rows, want.zero_rows);
   ASSERT_EQ(got.estimated_dm.rows(), 0u);
   ASSERT_EQ(got.estimated_dm.values().size(), 0u);
+}
+
+// Serves `objectives` through one CrosswalkPlan::ExecuteMany call
+// (aggregates only) on a `threads`-worker pool — the many-column
+// batch surface.
+Result<std::vector<core::CrosswalkResult>> ExecuteBatch(
+    const core::CrosswalkPlan& plan,
+    const std::vector<linalg::Vector>& objectives, size_t threads) {
+  std::unique_ptr<common::ThreadPool> pool = common::MakePoolOrNull(threads);
+  return plan.ExecuteMany(
+      objectives.size(),
+      [&](size_t i, linalg::Vector*) -> Result<common::ColumnView> {
+        return common::ColumnView(objectives[i]);
+      },
+      pool.get(), core::ExecuteOutput::kAggregatesOnly);
 }
 
 // Runs the full option sweep on `input`, comparing the legacy oracle,
@@ -1001,49 +1016,79 @@ TEST(PlanEquivalenceTest, CachedPlanExecutesIdenticallyAcrossForcedIsas) {
 }
 
 TEST(PlanEquivalenceTest, AlignedBatchRunServesPanelsBitIdentically) {
-  // BatchCrosswalk::Run on an aligned plan takes the panel serving
-  // path (CrosswalkPlan::ExecuteMany); every result must still carry
-  // exactly the per-call Crosswalk bits, for serial and pooled runs
-  // alike — and a wrong-length objective must keep its Batch-specific
-  // error.
+  // ExecuteMany on an aligned plan takes the panel serving path; every
+  // result must still carry exactly the per-call Crosswalk and
+  // per-column Execute bits, for serial and pooled runs alike — and a
+  // wrong-length objective must fail with the plan's length error.
   core::CrosswalkInput input = MakeAlignedDenseInput();
+  auto plan = std::move(core::CrosswalkPlan::Compile(
+                            input.references, core::GeoAlignOptions{}))
+                  .ValueOrDie();
+
+  // More objectives than one panel width so the panel loop runs
+  // several panels (including a ragged final one).
+  std::vector<linalg::Vector> objectives;
+  for (size_t i = 0; i < 19; ++i) {
+    linalg::Vector col = input.objective_source;
+    linalg::Scale(col, 1.0 + 0.25 * static_cast<double>(i));
+    objectives.push_back(std::move(col));
+  }
+  std::vector<core::CrosswalkResult> serial;
   for (size_t threads : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE(StrFormat("threads=%zu", threads));
+    auto results =
+        std::move(ExecuteBatch(plan, objectives, threads)).ValueOrDie();
+    ASSERT_EQ(results.size(), objectives.size());
     core::GeoAlignOptions opts;
     opts.threads = threads;
-    auto batch =
-        std::move(core::BatchCrosswalk::Create(input.references, opts))
-            .ValueOrDie();
-
-    // More objectives than one panel width so the panel loop runs
-    // several panels (including a ragged final one).
-    std::vector<core::BatchCrosswalk::Objective> objectives;
-    for (size_t i = 0; i < 19; ++i) {
-      linalg::Vector col = input.objective_source;
-      linalg::Scale(col, 1.0 + 0.25 * static_cast<double>(i));
-      objectives.push_back({StrFormat("col%zu", i), std::move(col)});
-    }
-    auto results = std::move(batch.Run(objectives)).ValueOrDie();
-    ASSERT_EQ(results.size(), objectives.size());
     core::GeoAlign geoalign(opts);
     for (size_t i = 0; i < objectives.size(); ++i) {
-      SCOPED_TRACE(objectives[i].name);
+      SCOPED_TRACE(StrFormat("col%zu", i));
       core::CrosswalkInput per_call = input;
-      per_call.objective_source = objectives[i].source;
+      per_call.objective_source = objectives[i];
       auto want = std::move(geoalign.Crosswalk(per_call)).ValueOrDie();
-      EXPECT_EQ(results[i].name, objectives[i].name);
       ASSERT_EQ(results[i].target_estimates, want.target_estimates);
       ASSERT_EQ(results[i].weights, want.weights);
       ASSERT_EQ(results[i].zero_rows, want.zero_rows);
+      ExpectAggregatesOnly(
+          results[i],
+          std::move(plan.Execute(objectives[i],
+                                 core::ExecuteOutput::kAggregatesOnly))
+              .ValueOrDie());
+      if (threads == 1) {
+        serial.push_back(std::move(results[i]));
+      } else {
+        ExpectAggregatesOnly(results[i], serial[i]);
+      }
     }
 
     // Error parity through the panel path: the lowest-index failing
-    // objective's Batch-specific message is returned.
-    std::vector<core::BatchCrosswalk::Objective> bad = objectives;
-    bad[3].source = linalg::Vector{1.0, 2.0};
-    auto failed = batch.Run(bad);
+    // column's status is returned, whether the plan rejects its length
+    // or the column source fails it.
+    const linalg::Vector short_column{1.0, 2.0};
+    std::unique_ptr<common::ThreadPool> pool =
+        common::MakePoolOrNull(threads);
+    auto serve = [&](size_t bad_length) {
+      return plan.ExecuteMany(
+          objectives.size(),
+          [&](size_t i, linalg::Vector*) -> Result<common::ColumnView> {
+            if (i == 9) {
+              return Status::InvalidArgument("column 'col9' unresolvable");
+            }
+            return common::ColumnView(i == bad_length ? short_column
+                                                      : objectives[i]);
+          },
+          pool.get(), core::ExecuteOutput::kAggregatesOnly);
+    };
+    auto failed = serve(3);
     ASSERT_FALSE(failed.ok());
-    EXPECT_NE(failed.status().message().find("objective 'col3' wrong length"),
+    EXPECT_NE(failed.status().message().find(
+                  "objective length does not match source units"),
+              std::string::npos)
+        << failed.status().message();
+    failed = serve(objectives.size());
+    ASSERT_FALSE(failed.ok());
+    EXPECT_NE(failed.status().message().find("column 'col9' unresolvable"),
               std::string::npos)
         << failed.status().message();
   }
@@ -1103,13 +1148,13 @@ TEST(PlanEquivalenceTest, AlignedPipelineRealignManyServesPanelsBitIdentically) 
       << failed.status().message();
 }
 
-// A pipeline and a batch over the same world references, both with
-// options.threads = 4.
+// A pipeline (its GeoAlign with options.threads = 4) and a compiled
+// plan over the same world references.
 struct TwoSurfaces {
   core::CrosswalkInput input;
   std::vector<std::string> sources;
   std::optional<core::CrosswalkPipeline> pipeline;
-  std::optional<core::BatchCrosswalk> batch;
+  std::optional<core::CrosswalkPlan> plan;
 };
 
 TwoSurfaces MakeTwoSurfaces() {
@@ -1124,8 +1169,8 @@ TwoSurfaces MakeTwoSurfaces() {
                     w.input.references,
                     std::make_shared<core::GeoAlign>(opts)))
           .ValueOrDie());
-  w.batch.emplace(
-      std::move(core::BatchCrosswalk::Create(w.input.references, opts))
+  w.plan.emplace(
+      std::move(core::CrosswalkPlan::Compile(w.input.references, opts))
           .ValueOrDie());
   return w;
 }
@@ -1166,9 +1211,8 @@ TEST(PlanEquivalenceTest, ServingSurfacesCountEveryOfferedColumn) {
   std::vector<core::CrosswalkPipeline::Column> columns(
       3, NamedColumn(w.sources, w.input.objective_source));
   columns[1] = {{"nope", 1.0}};
-  std::vector<core::BatchCrosswalk::Objective> objectives(
-      3, {"col", w.input.objective_source});
-  objectives[1].source = linalg::Vector{1.0, 2.0};
+  std::vector<linalg::Vector> objectives(3, w.input.objective_source);
+  objectives[1] = linalg::Vector{1.0, 2.0};
   const bool saved_enabled = obs::Enabled();
   obs::SetEnabled(true);
   obs::Counter& total =
@@ -1180,7 +1224,7 @@ TEST(PlanEquivalenceTest, ServingSurfacesCountEveryOfferedColumn) {
     EXPECT_EQ(total.Value() - before, columns.size());
   }
   const uint64_t before = total.Value();
-  EXPECT_FALSE(w.batch->Run(objectives).ok());
+  EXPECT_FALSE(ExecuteBatch(*w.plan, objectives, 4).ok());
   EXPECT_EQ(total.Value() - before, objectives.size());
   obs::SetEnabled(saved_enabled);
 }
@@ -1194,7 +1238,7 @@ TEST(PlanEquivalenceTest, SingleColumnOnPoolMatchesAcrossSurfaces) {
                             4, core::ExecuteOutput::kAggregatesOnly))
                   .ValueOrDie();
   auto batch =
-      std::move(w.batch->Run({{"col", w.input.objective_source}}))
+      std::move(ExecuteBatch(*w.plan, {w.input.objective_source}, 4))
           .ValueOrDie();
   auto want =
       std::move(w.pipeline->plan()->Execute(w.input.objective_source))
@@ -1216,25 +1260,23 @@ TEST(PlanEquivalenceTest, BatchMatchesCrosswalkBitIdentically) {
     core::GeoAlignOptions opts;
     opts.solver = solver;
     opts.threads = 1;
-    auto batch =
-        std::move(core::BatchCrosswalk::Create(input.references, opts))
-            .ValueOrDie();
+    auto plan = std::move(core::CrosswalkPlan::Compile(input.references, opts))
+                    .ValueOrDie();
 
-    std::vector<core::BatchCrosswalk::Objective> objectives;
-    objectives.push_back({"base", input.objective_source});
+    std::vector<linalg::Vector> objectives;
+    objectives.push_back(input.objective_source);
     linalg::Vector scaled = input.objective_source;
     linalg::Scale(scaled, 3.25);
-    objectives.push_back({"scaled", std::move(scaled)});
+    objectives.push_back(std::move(scaled));
 
-    auto results = std::move(batch.Run(objectives)).ValueOrDie();
+    auto results = std::move(ExecuteBatch(plan, objectives, 1)).ValueOrDie();
     ASSERT_EQ(results.size(), objectives.size());
     core::GeoAlign geoalign(opts);
     for (size_t i = 0; i < objectives.size(); ++i) {
-      SCOPED_TRACE(objectives[i].name);
+      SCOPED_TRACE(i == 0 ? "base" : "scaled");
       core::CrosswalkInput per_call = input;
-      per_call.objective_source = objectives[i].source;
+      per_call.objective_source = objectives[i];
       auto want = std::move(geoalign.Crosswalk(per_call)).ValueOrDie();
-      EXPECT_EQ(results[i].name, objectives[i].name);
       ASSERT_EQ(results[i].target_estimates, want.target_estimates);
       ASSERT_EQ(results[i].weights, want.weights);
       ASSERT_EQ(results[i].zero_rows, want.zero_rows);

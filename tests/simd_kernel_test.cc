@@ -30,6 +30,7 @@
 #include "common/span.h"
 #include "common/string_util.h"
 #include "linalg/matrix.h"
+#include "oracles/sparse_oracle.h"
 #include "sparse/coo_builder.h"
 #include "sparse/csr_matrix.h"
 #include "sparse/fused_execute.h"

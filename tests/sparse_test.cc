@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "oracles/sparse_oracle.h"
 #include "sparse/coo_builder.h"
 #include "sparse/csr_matrix.h"
 #include "sparse/prepared_reference.h"
@@ -201,7 +202,7 @@ TEST(SparseOps, AddMatchesDense) {
   b.Add(0, 0, -1.0);
   b.Add(1, 1, 2.0);
   CsrMatrix c = b.Build();
-  auto sum = Add(a, c);
+  auto sum = WeightedSum({&a, &c}, {1.0, 1.0});
   ASSERT_TRUE(sum.ok());
   EXPECT_DOUBLE_EQ(sum->At(0, 0), 0.0);  // cancelled and dropped
   EXPECT_DOUBLE_EQ(sum->At(1, 1), 2.0);

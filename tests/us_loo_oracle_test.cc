@@ -18,6 +18,7 @@
 
 #include "common/string_util.h"
 #include "core/geoalign.h"
+#include "oracles/crosswalk_uncompiled.h"
 #include "synth/universe.h"
 
 namespace geoalign {

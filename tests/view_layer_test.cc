@@ -25,6 +25,7 @@
 #include "common/span.h"
 #include "core/crosswalk_plan.h"
 #include "core/geoalign.h"
+#include "oracles/crosswalk_uncompiled.h"
 #include "core/pipeline.h"
 #include "io/csv.h"
 #include "io/table.h"

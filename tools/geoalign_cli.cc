@@ -33,7 +33,8 @@
 // universes are the sorted union of the crosswalk files' units; every
 // objective unit must appear there. Each crosswalk is re-indexed onto
 // the universes (io::RemapCrosswalk), so its parsed values reach the
-// crosswalk bit-exact. Estimates print with `%.12g`.
+// crosswalk bit-exact. Estimates print with `%.17g`, which round-trips
+// every double, so the output carries the in-process plan's bits.
 //
 // Example:
 //   geoalign_cli --objective steam.csv
@@ -291,7 +292,7 @@ Result<int> Run(const CliArgs& args) {
   io::Table out({"unit", "value"});
   for (size_t j = 0; j < target_units.size(); ++j) {
     GEOALIGN_RETURN_IF_ERROR(out.AppendRow(
-        {target_units[j], StrFormat("%.12g", result.target_estimates[j])}));
+        {target_units[j], StrFormat("%.17g", result.target_estimates[j])}));
   }
   if (args.out_path.empty()) {
     std::fputs(io::ToCsv(out).c_str(), stdout);

@@ -30,13 +30,13 @@ documented in docs/static_analysis.md:
       hidden from the compiler (e.g. behind (void)).
 
   geoalign-plan-bypass
-      No calls to the legacy recompile-per-call crosswalk entry points
-      (`*.Crosswalk(...)` / `CrosswalkUncompiled(...)`) inside the
-      serving hot paths (src/core/pipeline.*, src/core/batch.*,
-      src/eval/). Since the compile/execute split these paths must go
-      through a compiled CrosswalkPlan (optionally via PlanCache) so
-      objective-independent work is hoisted once; a per-call Crosswalk
-      silently recompiles everything per objective. Legitimate uses —
+      No calls to the recompile-per-call crosswalk entry point
+      (`*.Crosswalk(...)`) inside the serving hot paths
+      (src/core/pipeline.*, src/eval/). Since the compile/execute
+      split these paths must go through a compiled CrosswalkPlan
+      (optionally via PlanCache) so objective-independent work is
+      hoisted once; a per-call Crosswalk silently recompiles
+      everything per objective. Legitimate uses —
       baseline interpolators without a plan form, freshly perturbed
       references — carry a NOLINT with a rationale.
 
@@ -148,7 +148,7 @@ KERNEL_DIRS = ("src/sparse", "src/core", "src/linalg")
 # Serving hot paths that must execute compiled CrosswalkPlans rather
 # than the legacy recompile-per-call entry points. Path *prefixes*:
 # "src/core/pipeline." covers pipeline.h and pipeline.cc.
-HOT_PATH_PREFIXES = ("src/core/pipeline.", "src/core/batch.", "src/eval/")
+HOT_PATH_PREFIXES = ("src/core/pipeline.", "src/eval/")
 
 FLOAT_LITERAL = r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?[fFlL]?|\d+[eE][+-]?\d+[fFlL]?"
 FLOAT_EQ_RE = re.compile(
@@ -156,10 +156,9 @@ FLOAT_EQ_RE = re.compile(
     % (FLOAT_LITERAL, FLOAT_LITERAL)
 )
 THROW_RE = re.compile(r"\bthrow\b")
-# Member call to any interpolator's Crosswalk, or the preserved legacy
-# free function. Plan execution (Execute/ExecuteWith) never matches.
-PLAN_BYPASS_RE = re.compile(
-    r"(?:\.|->)\s*Crosswalk\s*\(|\bCrosswalkUncompiled\s*\(")
+# Member call to any interpolator's Crosswalk. Plan execution
+# (Execute/ExecuteWith) never matches.
+PLAN_BYPASS_RE = re.compile(r"(?:\.|->)\s*Crosswalk\s*\(")
 # Raw clock reads outside src/obs/. Matches the fully and partially
 # qualified spellings (`std::chrono::steady_clock::now(`,
 # `chrono::steady_clock::now(`, `steady_clock::now(`).
@@ -224,8 +223,8 @@ FALLIBLE_DECL_RE = re.compile(
 # A call that *begins* a statement: preceded by ; { } or ) (the latter
 # covers `if (...) Foo();`), optionally behind a (void) cast. Member
 # calls (x.Foo(), x->Foo()) are deliberately excluded — a name-level
-# lint cannot resolve which overload a member call hits (e.g. the void
-# CooBuilder::Add vs the fallible sparse::Add); discarded member-call
+# lint cannot resolve which overload a member call hits (e.g. a void
+# member Add vs a fallible free Add); discarded member-call
 # results are enforced by [[nodiscard]] at compile time instead.
 BARE_CALL_RE = re.compile(
     r"(?<=[;{})])\s*(?:\(void\)\s*)?"
