@@ -1,10 +1,13 @@
 #include "common/string_util.h"
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace geoalign {
 
@@ -31,10 +34,24 @@ std::string_view StripWhitespace(std::string_view text) {
 Result<double> ParseDouble(std::string_view text) {
   std::string_view t = StripWhitespace(text);
   if (t.empty()) return Status::InvalidArgument("empty number");
+  // Fast path. from_chars and strtod both round correctly, so they
+  // agree on every normal finite result. Everything else goes to
+  // strtod, which keeps deciding what is accepted: a leading '+', hex,
+  // inf/nan, zero, subnormal or out-of-range values (strtod flags the
+  // last two ERANGE) and trailing garbage.
+  double v = 0.0;
+  const char* last = t.data() + t.size();
+  const auto [stop, ec] = std::from_chars(t.data(), last, v);
+  const double magnitude = std::fabs(v);
+  if (ec == std::errc() && stop == last &&
+      magnitude > std::numeric_limits<double>::min() &&
+      magnitude <= std::numeric_limits<double>::max()) {
+    return v;
+  }
   std::string buf(t);
   errno = 0;
   char* end = nullptr;
-  double v = std::strtod(buf.c_str(), &end);
+  v = std::strtod(buf.c_str(), &end);
   if (end != buf.c_str() + buf.size() || errno == ERANGE) {
     return Status::InvalidArgument("cannot parse double: '" + buf + "'");
   }

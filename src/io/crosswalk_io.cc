@@ -1,7 +1,6 @@
 #include "io/crosswalk_io.h"
 
 #include <algorithm>
-#include <functional>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -23,32 +22,6 @@ std::vector<std::string> SortedUnique(std::vector<std::string> names) {
   std::sort(names.begin(), names.end());
   names.erase(std::unique(names.begin(), names.end()), names.end());
   return names;
-}
-
-// Universe position of each of `units`, by one merge walk over the two
-// strictly ascending lists.
-Result<std::vector<size_t>> MergeIndex(
-    const std::vector<std::string>& units,
-    const std::vector<std::string>& universe, const char* which) {
-  auto ascending = [](const std::vector<std::string>& names) {
-    return std::adjacent_find(names.begin(), names.end(),
-                              std::greater_equal<>()) == names.end();
-  };
-  if (!ascending(units) || !ascending(universe)) {
-    return Status::InvalidArgument(StrFormat(
-        "crosswalk remap: %s unit lists must be strictly ascending", which));
-  }
-  std::vector<size_t> index(units.size());
-  size_t j = 0;
-  for (size_t i = 0; i < units.size(); ++i) {
-    while (j < universe.size() && universe[j] < units[i]) ++j;
-    if (j == universe.size() || universe[j] != units[i]) {
-      return Status::NotFound(StrFormat("crosswalk remap: unknown %s unit '%s'",
-                                        which, units[i].c_str()));
-    }
-    index[i] = j;
-  }
-  return index;
 }
 
 }  // namespace
@@ -95,43 +68,6 @@ Result<LoadedCrosswalk> CrosswalkFromTable(
     builder.Add(si->second, ti->second, values[r]);
   }
   out.dm = builder.Build();
-  return out;
-}
-
-Result<LoadedCrosswalk> RemapCrosswalk(
-    const LoadedCrosswalk& cw, const std::vector<std::string>& source_units,
-    const std::vector<std::string>& target_units) {
-  if (cw.dm.rows() != cw.source_units.size() ||
-      cw.dm.cols() != cw.target_units.size()) {
-    return Status::InvalidArgument(
-        "crosswalk remap: DM shape does not match its unit lists");
-  }
-  GEOALIGN_ASSIGN_OR_RETURN(
-      std::vector<size_t> rows,
-      MergeIndex(cw.source_units, source_units, "source"));
-  GEOALIGN_ASSIGN_OR_RETURN(
-      std::vector<size_t> cols,
-      MergeIndex(cw.target_units, target_units, "target"));
-  // Both maps are strictly increasing, so rows keep their order and
-  // each row's columns stay ascending: only the indices change.
-  std::vector<size_t> row_ptr(source_units.size() + 1, 0);
-  for (size_t i = 0; i < cw.dm.rows(); ++i) {
-    row_ptr[rows[i] + 1] = cw.dm.Row(i).size;
-  }
-  for (size_t i = 1; i < row_ptr.size(); ++i) row_ptr[i] += row_ptr[i - 1];
-  std::vector<size_t> col_idx;
-  col_idx.reserve(cw.dm.nnz());
-  for (size_t c : cw.dm.col_idx()) col_idx.push_back(cols[c]);
-  common::ConstSpan<double> values = cw.dm.values();
-
-  LoadedCrosswalk out;
-  out.source_units = source_units;
-  out.target_units = target_units;
-  GEOALIGN_ASSIGN_OR_RETURN(
-      out.dm, sparse::CsrMatrix::FromCsrArrays(
-                  source_units.size(), target_units.size(), std::move(row_ptr),
-                  std::move(col_idx),
-                  std::vector<double>(values.begin(), values.end())));
   return out;
 }
 

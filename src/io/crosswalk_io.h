@@ -33,16 +33,6 @@ Result<LoadedCrosswalk> CrosswalkFromTable(
     std::vector<std::string> source_units = {},
     std::vector<std::string> target_units = {});
 
-/// Re-indexes `cw` onto the unit universes `source_units` /
-/// `target_units` (each a superset of cw's list): rows and columns
-/// move to their universe positions and every stored value keeps its
-/// exact bits — no text round trip. All four unit lists must be
-/// strictly ascending, as CrosswalkFromTable derives them; a unit of
-/// `cw` missing from its universe is NotFound.
-Result<LoadedCrosswalk> RemapCrosswalk(
-    const LoadedCrosswalk& cw, const std::vector<std::string>& source_units,
-    const std::vector<std::string>& target_units);
-
 /// Builds a ReferenceAttribute from a loaded crosswalk; the source
 /// aggregates are the DM row sums.
 core::ReferenceAttribute ReferenceFromCrosswalk(std::string name,

@@ -2,59 +2,10 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 namespace geoalign::io {
 
 namespace {
-
-// Parses one CSV record starting at `pos`; advances `pos` past the
-// record's terminating newline (or to text.size()).
-Result<std::vector<std::string>> ParseRecord(const std::string& text,
-                                             size_t* pos) {
-  std::vector<std::string> fields;
-  std::string field;
-  bool in_quotes = false;
-  size_t i = *pos;
-  for (; i < text.size(); ++i) {
-    char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += c;
-      }
-      continue;
-    }
-    if (c == '"') {
-      if (!field.empty()) {
-        return Status::InvalidArgument("CSV: quote inside unquoted field");
-      }
-      in_quotes = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else if (c == '\n' || c == '\r') {
-      // Consume \r\n or \n.
-      if (c == '\r' && i + 1 < text.size() && text[i + 1] == '\n') ++i;
-      ++i;
-      break;
-    } else {
-      field += c;
-    }
-  }
-  if (in_quotes) {
-    return Status::InvalidArgument("CSV: unterminated quoted field");
-  }
-  fields.push_back(std::move(field));
-  *pos = i;
-  return fields;
-}
 
 bool NeedsQuoting(const std::string& field) {
   for (char c : field) {
@@ -78,31 +29,103 @@ void AppendField(std::string* out, const std::string& field) {
 
 }  // namespace
 
-Result<Table> ParseCsv(const std::string& text) {
-  size_t pos = 0;
-  if (text.empty()) return Status::InvalidArgument("CSV: empty input");
-  GEOALIGN_ASSIGN_OR_RETURN(std::vector<std::string> header,
-                            ParseRecord(text, &pos));
-  GEOALIGN_ASSIGN_OR_RETURN(Table table, Table::Create(std::move(header)));
-  while (pos < text.size()) {
-    // Skip blank trailing lines.
-    if (text[pos] == '\n' || text[pos] == '\r') {
-      ++pos;
+bool CsvScanner::NextRecord() {
+  while (pos_ < text_.size() && (text_[pos_] == '\n' || text_[pos_] == '\r')) {
+    ++pos_;
+  }
+  return pos_ < text_.size();
+}
+
+Status CsvScanner::Read() {
+  scratch_.clear();
+  spans_.clear();
+  const size_t n = text_.size();
+  size_t i = pos_;
+  while (true) {
+    FieldSpan span{i, 0, false};
+    if (i < n && text_[i] == '"') {
+      span = {scratch_.size(), 0, true};
+      ++i;
+      while (true) {
+        const size_t q = text_.find('"', i);
+        if (q == std::string_view::npos) {
+          return Status::InvalidArgument("CSV: unterminated quoted field");
+        }
+        scratch_.append(text_.data() + i, q - i);
+        if (q + 1 < n && text_[q + 1] == '"') {
+          scratch_ += '"';
+          i = q + 2;
+        } else {
+          i = q + 1;
+          break;
+        }
+      }
+    }
+    size_t j = i;
+    while (j < n && text_[j] != ',' && text_[j] != '\n' && text_[j] != '\r' &&
+           text_[j] != '"') {
+      ++j;
+    }
+    if (j < n && text_[j] == '"') {
+      return Status::InvalidArgument("CSV: quote inside unquoted field");
+    }
+    if (span.quoted) {
+      scratch_.append(text_.data() + i, j - i);
+      span.size = scratch_.size() - span.begin;
+    } else {
+      span.size = j - span.begin;
+    }
+    spans_.push_back(span);
+    i = j;
+    if (i < n && text_[i] == ',') {
+      ++i;
       continue;
     }
-    GEOALIGN_ASSIGN_OR_RETURN(std::vector<std::string> row,
-                              ParseRecord(text, &pos));
-    GEOALIGN_RETURN_IF_ERROR(table.AppendRow(std::move(row)));
+    // Past a \r or \n; the \n of a \r\n is skipped as a blank line.
+    pos_ = i < n ? i + 1 : i;
+    break;
+  }
+  fields_.clear();
+  for (const FieldSpan& s : spans_) {
+    const std::string_view base = s.quoted ? std::string_view(scratch_) : text_;
+    fields_.push_back(base.substr(s.begin, s.size));
+  }
+  return Status::OK();
+}
+
+Result<Table> ParseCsv(const std::string& text) {
+  if (text.empty()) return Status::InvalidArgument("CSV: empty input");
+  CsvScanner scan(text);
+  auto cells = [&scan] {
+    return std::vector<std::string>(scan.fields().begin(),
+                                    scan.fields().end());
+  };
+  GEOALIGN_RETURN_IF_ERROR(scan.Read());
+  GEOALIGN_ASSIGN_OR_RETURN(Table table, Table::Create(cells()));
+  while (scan.NextRecord()) {
+    GEOALIGN_RETURN_IF_ERROR(scan.Read());
+    GEOALIGN_RETURN_IF_ERROR(table.AppendRow(cells()));
   }
   return table;
 }
 
+Status ReadTextFile(const std::string& path, std::string* text) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return Status::IOError("cannot open '" + path + "'");
+  text->clear();
+  char chunk[1 << 16];
+  size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    text->append(chunk, n);
+  }
+  std::fclose(f);
+  return Status::OK();
+}
+
 Result<Table> ReadCsvFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseCsv(buf.str());
+  std::string text;
+  GEOALIGN_RETURN_IF_ERROR(ReadTextFile(path, &text));
+  return ParseCsv(text);
 }
 
 std::string ToCsv(const Table& table) {

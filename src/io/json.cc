@@ -122,7 +122,9 @@ void DumpValue(const JsonValue& v, std::string* out) {
       break;
     case JsonValue::Kind::kNumber: {
       double n = std::move(v.AsNumber()).ValueOrDie();
-      if (n == std::floor(n) && std::fabs(n) < 1e15) {
+      if (!std::isfinite(n)) {
+        *out += "null";  // JSON has no inf/nan; null keeps it parsable
+      } else if (n == std::floor(n) && std::fabs(n) < 1e15) {
         *out += StrFormat("%.0f", n);
       } else {
         *out += StrFormat("%.17g", n);

@@ -41,7 +41,8 @@ class JsonValue {
   bool Has(const std::string& key) const;
   const std::map<std::string, JsonValue>& members() const { return object_; }
 
-  /// Serializes back to compact JSON.
+  /// Serializes back to compact JSON. A non-finite number is written
+  /// as null, so the result always parses.
   std::string Dump() const;
 
  private:

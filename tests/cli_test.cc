@@ -8,7 +8,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -33,7 +36,7 @@ std::string CliPath() {
 }
 
 void WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
+  std::ofstream out(path, std::ios::binary);
   ASSERT_TRUE(out.good()) << path;
   out << content;
 }
@@ -178,6 +181,163 @@ TEST_F(CliTest, SeventeenDigitCrosswalksMatchInProcessPlan) {
     EXPECT_EQ(std::bit_cast<uint64_t>(parsed),
               std::bit_cast<uint64_t>(want.target_estimates[t]))
         << "target " << units[t];
+  }
+}
+
+// One crosswalk row as a file states it.
+struct Row {
+  std::string source, target;
+  double value;
+};
+
+size_t IndexIn(const std::vector<std::string>& units, const std::string& u) {
+  for (size_t i = 0; i < units.size(); ++i) {
+    if (units[i] == u) return i;
+  }
+  ADD_FAILURE() << "unit '" << u << "' missing from its universe";
+  return 0;
+}
+
+// The DM a crosswalk file denotes: duplicate (source,target) rows
+// summed in file order, exact-zero sums dropped.
+sparse::CsrMatrix DmInFileOrder(const std::vector<Row>& rows,
+                                const std::vector<std::string>& sources,
+                                const std::vector<std::string>& targets) {
+  std::map<std::pair<size_t, size_t>, double> cells;
+  for (const Row& r : rows) {
+    cells[{IndexIn(sources, r.source), IndexIn(targets, r.target)}] +=
+        r.value;
+  }
+  std::vector<size_t> row_ptr(sources.size() + 1, 0), col_idx;
+  std::vector<double> values;
+  for (const auto& [at, v] : cells) {
+    if (v == 0.0) continue;
+    ++row_ptr[at.first + 1];
+    col_idx.push_back(at.second);
+    values.push_back(v);
+  }
+  for (size_t i = 1; i < row_ptr.size(); ++i) row_ptr[i] += row_ptr[i - 1];
+  return std::move(sparse::CsrMatrix::FromCsrArrays(
+                       sources.size(), targets.size(), std::move(row_ptr),
+                       std::move(col_idx), std::move(values)))
+      .ValueOrDie();
+}
+
+std::string ReadText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST_F(CliTest, CsvEdgeSemanticsMatchInProcessPlan) {
+  // CRLF line ends, blank lines, quoted unit names holding `,` and
+  // `""`, reordered columns plus an extra one, whitespace-padded
+  // values, three duplicate (source,target) rows whose sum depends on
+  // the order, a `0` row (its units still join the universes), and a
+  // source unit present in only one of the two files.
+  WriteFile(dir_ + "/edge_a.csv",
+            "\"value\",note,target,source\r\n"
+            "\r\n"
+            " 1.5 ,x,T1,\"S,1\"\r\n"
+            "0.1,dup,T1,\"S\"\"2\"\r\n"
+            "0.2,dup,T1,\"S\"\"2\"\r\n"
+            "\r\n"
+            "0.3,dup,T1,\"S\"\"2\"\r\n"
+            "7.25 ,y,\"T,2\",\"S,1\"\r\n"
+            "0,zero,T3,S0\r\n"
+            "\t2.5,z,\"T,2\",S4\r\n");
+  WriteFile(dir_ + "/edge_b.csv",
+            "source,target,value\n"
+            "\"S,1\",T1,3\n"
+            "S5,\"T,2\",4.5\n"
+            "S4,T1,1e-3\n");
+  // Duplicate objective units sum.
+  WriteFile(dir_ + "/edge_obj.csv",
+            "unit,value\nS4,2\n\"S,1\",10\nS5,3\n\"S\"\"2\",6\nS4,1.25\n");
+
+  // Byte-wise sorted universes of both files' units.
+  const std::vector<std::string> sources = {"S\"2", "S,1", "S0", "S4", "S5"};
+  const std::vector<std::string> targets = {"T,2", "T1", "T3"};
+  const std::vector<Row> rows_a = {{"S,1", "T1", 1.5},  {"S\"2", "T1", 0.1},
+                                   {"S\"2", "T1", 0.2}, {"S\"2", "T1", 0.3},
+                                   {"S,1", "T,2", 7.25}, {"S0", "T3", 0.0},
+                                   {"S4", "T,2", 2.5}};
+  const std::vector<Row> rows_b = {
+      {"S,1", "T1", 3.0}, {"S5", "T,2", 4.5}, {"S4", "T1", 1e-3}};
+  core::CrosswalkInput input;
+  for (const auto& [name, rows] :
+       {std::pair{"a", &rows_a}, std::pair{"b", &rows_b}}) {
+    core::ReferenceAttribute ref;
+    ref.name = name;
+    ref.disaggregation = DmInFileOrder(*rows, sources, targets);
+    ref.source_aggregates = ref.disaggregation.RowSums();
+    input.references.push_back(std::move(ref));
+  }
+  // The order matters for this sum: 0.2 + 0.3 + 0.1 differs from it.
+  ASSERT_NE(0.1 + 0.2 + 0.3, 0.2 + 0.3 + 0.1);
+  input.objective_source = {6.0, 10.0, 0.0, 2.0 + 1.25, 3.0};
+  auto plan = std::move(core::CrosswalkPlan::Compile(input,
+                                                     core::GeoAlignOptions{}))
+                  .ValueOrDie();
+  auto want = std::move(plan.Execute(input.objective_source,
+                                     core::ExecuteOutput::kAggregatesOnly))
+                  .ValueOrDie();
+
+  for (const char* output : {"aggregates", "dm"}) {
+    const std::string out = dir_ + "/edge_out.csv";
+    const std::string cmd = cli_ + " --objective " + dir_ +
+                            "/edge_obj.csv --ref a=" + dir_ +
+                            "/edge_a.csv --ref b=" + dir_ +
+                            "/edge_b.csv --output " + output + " --out " +
+                            out + " 2>/dev/null";
+    ASSERT_EQ(std::system(cmd.c_str()), 0) << output;
+    auto table = std::move(io::ReadCsvFile(out)).ValueOrDie();
+    auto units = std::move(table.StringColumn("unit")).ValueOrDie();
+    auto values = std::move(table.StringColumn("value")).ValueOrDie();
+    ASSERT_EQ(units, targets) << output;
+    for (size_t t = 0; t < targets.size(); ++t) {
+      char* end = nullptr;
+      const double parsed = std::strtod(values[t].c_str(), &end);
+      ASSERT_EQ(*end, '\0') << values[t];
+      EXPECT_EQ(std::bit_cast<uint64_t>(parsed),
+                std::bit_cast<uint64_t>(want.target_estimates[t]))
+          << output << " target " << units[t];
+    }
+  }
+}
+
+TEST_F(CliTest, CsvErrorsNameTheirCause) {
+  struct Case {
+    const char* crosswalk;
+    const char* objective;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"source,target,value\na,b,1\na,c,-2\n", "unit,value\na,1\n",
+       "crosswalk row 1: negative value"},
+      {"source,target,value\na,b,1\na,c,12x\n", "unit,value\na,1\n",
+       "Table: column 'value' row 1: cannot parse double: '12x'"},
+      {"source,target,value\na,b,1\n", "unit,value\na,1\nzz,2\n",
+       "aggregate row 1: unknown unit 'zz'"},
+      {"source,target,value\na,b,1\n\"a,c,2\n", "unit,value\na,1\n",
+       "CSV: unterminated quoted field"},
+      {"source,target,value\na,b,1\na,c\n", "unit,value\na,1\n",
+       "Table: row has 2 cells, table has 3 columns"},
+      {"source,target,amount\na,b,1\n", "unit,value\na,1\n",
+       "Table: no column named 'value'"},
+  };
+  for (const Case& c : cases) {
+    WriteFile(dir_ + "/err_cw.csv", c.crosswalk);
+    WriteFile(dir_ + "/err_obj.csv", c.objective);
+    const std::string err = dir_ + "/err.txt";
+    const std::string cmd = cli_ + " --objective " + dir_ +
+                            "/err_obj.csv --ref r=" + dir_ +
+                            "/err_cw.csv --out " + dir_ + "/err_out.csv 2>" +
+                            err;
+    EXPECT_NE(std::system(cmd.c_str()), 0) << c.message;
+    EXPECT_NE(ReadText(err).find(c.message), std::string::npos)
+        << "stderr: " << ReadText(err);
   }
 }
 

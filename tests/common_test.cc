@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -201,6 +206,63 @@ TEST(StringUtil, ParseDoubleRejectsGarbage) {
   EXPECT_FALSE(ParseDouble("3.25x").ok());
   EXPECT_FALSE(ParseDouble("").ok());
   EXPECT_FALSE(ParseDouble("abc").ok());
+}
+
+// ParseDouble accepts a string exactly when strtod consumes all of its
+// whitespace-stripped text without ERANGE, and returns strtod's bits.
+Result<double> StrtodOracle(std::string_view text) {
+  std::string buf(StripWhitespace(text));
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(buf.c_str(), &end);
+  if (buf.empty() || end != buf.c_str() + buf.size() || errno == ERANGE) {
+    return Status::InvalidArgument("rejected");
+  }
+  return v;
+}
+
+void ExpectSameAsStrtod(const std::string& text) {
+  Result<double> got = ParseDouble(text);
+  Result<double> want = StrtodOracle(text);
+  ASSERT_EQ(got.ok(), want.ok()) << "'" << text << "'";
+  if (got.ok()) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(*got), std::bit_cast<uint64_t>(*want))
+        << "'" << text << "'";
+  }
+}
+
+TEST(StringUtil, ParseDoubleMatchesStrtod) {
+  const std::pair<const char*, bool> cases[] = {
+      {"1e-310", false},  // subnormal: strtod flags ERANGE
+      {"4.9e-324", false},
+      {"1e-400", false},
+      {"1e400", false},
+      {"+1", true},
+      {"0x1p3", true},
+      {" 1 ", true},
+      {"nan", true},
+      {"inf", true},
+      {"-0", true},
+      {"12x", false},
+      {"2.2250738585072014e-308", true},  // DBL_MIN
+      {"1.7976931348623157e308", true},   // DBL_MAX
+      {"0.30000000000000004", true},
+  };
+  for (const auto& [text, accepted] : cases) {
+    EXPECT_EQ(ParseDouble(text).ok(), accepted) << "'" << text << "'";
+    ExpectSameAsStrtod(text);
+  }
+  EXPECT_TRUE(std::signbit(*ParseDouble("-0")));
+  EXPECT_EQ(*ParseDouble("0x1p3"), 8.0);
+
+  // Random bit patterns (every exponent, subnormals included) printed
+  // at full and at short precision.
+  Rng rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    const double v = std::bit_cast<double>(rng.NextU64());
+    ExpectSameAsStrtod(StrFormat("%.17g", v));
+    ExpectSameAsStrtod(StrFormat("%.6e", v));
+  }
 }
 
 TEST(StringUtil, ParseInt64) {

@@ -60,8 +60,9 @@
 #           and --trace-out under GEOALIGN_TELEMETRY=0 (proving the
 #           output flags implicitly enable telemetry), validate both
 #           outputs parse as JSON (the trace must be Chrome trace-event
-#           shaped, i.e. carry a traceEvents array), then re-run with
-#           --metrics-format=prom and --flight-recorder-out and
+#           shaped, i.e. carry a traceEvents array, and hold the CLI's
+#           io.*/cli.* stage spans next to compile and execute), then
+#           re-run with --metrics-format=prom and --flight-recorder-out and
 #           validate the Prometheus exposition (every histogram's
 #           _count equals its +Inf bucket) and the flight-recorder
 #           JSONL dump — docs/observability.md
@@ -172,8 +173,13 @@ assert metrics["counters"].get("compile.count", 0) >= 1, (
 with open(sys.argv[2]) as f:
     trace = json.load(f)
 assert isinstance(trace.get("traceEvents"), list), type(trace)
+# The CLI's own stages sit next to compile/execute in the trace.
+names = {e.get("name") for e in trace["traceEvents"]}
+want = {"io.read_crosswalks", "io.resolve_units", "io.read_objective",
+        "cli.validate", "compile", "execute", "cli.write_output"}
+assert want <= names, "trace lacks spans: %s" % sorted(want - names)
 print("obs gate: metrics + trace both parse; "
-      f"{len(trace['traceEvents'])} trace event(s)")
+      f"{len(trace['traceEvents'])} trace event(s), CLI stages spanned")
 EOF
   local rc=$?
   [[ $rc -ne 0 ]] && { rm -rf "$dir"; return "$rc"; }

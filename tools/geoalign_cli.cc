@@ -29,19 +29,22 @@
 //
 // Crosswalk CSVs are long-form: columns `source,target,value` (one row
 // per non-empty intersection; the reference's source aggregates are
-// the row sums). The objective CSV has columns `unit,value`. The unit
-// universes are the sorted union of the crosswalk files' units; every
-// objective unit must appear there. Each crosswalk is re-indexed onto
-// the universes (io::RemapCrosswalk), so its parsed values reach the
-// crosswalk bit-exact. Estimates print with `%.17g`, which round-trips
-// every double, so the output carries the in-process plan's bits.
+// the row sums). Duplicate (source,target) rows of one file are summed
+// in file order. The objective CSV has columns `unit,value`; duplicate
+// units sum and units it leaves out are 0. The unit universes are the
+// byte-wise sorted union of the crosswalk files' units; every
+// objective unit must appear among the sources. All files go through
+// one pass of io::ReadCrosswalkSet, which interns unit names across
+// files and builds each DM straight onto the universes, so parsed
+// values reach the crosswalk bit-exact. Estimates print with `%.17g`,
+// which round-trips every double, so the output carries the in-process
+// plan's bits.
 //
 // Example:
 //   geoalign_cli --objective steam.csv
 //                --ref population=pop_crosswalk.csv
 //                --ref addresses=usps_crosswalk.csv > steam_by_county.csv
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -54,12 +57,13 @@
 #include "core/dasymetric.h"
 #include "core/geoalign.h"
 #include "core/regression.h"
-#include "io/crosswalk_io.h"
+#include "io/crosswalk_reader.h"
 #include "io/csv.h"
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/request_context.h"
 #include "obs/telemetry.h"
+#include "obs/trace.h"
 
 namespace geoalign {
 namespace {
@@ -206,43 +210,15 @@ Result<int> Run(const CliArgs& args) {
   // (generated "req-<n>" when --request-id is omitted).
   obs::RequestScope request_scope(args.request_id);
 
-  // Load all crosswalk files; unify unit universes across them.
-  std::vector<io::LoadedCrosswalk> crosswalks;
-  std::vector<std::string> source_units;
-  std::vector<std::string> target_units;
-  for (const auto& [name, path] : args.refs) {
-    GEOALIGN_ASSIGN_OR_RETURN(io::Table table, io::ReadCsvFile(path));
-    GEOALIGN_ASSIGN_OR_RETURN(
-        io::LoadedCrosswalk cw,
-        io::CrosswalkFromTable(table, "source", "target", "value"));
-    for (const std::string& u : cw.source_units) source_units.push_back(u);
-    for (const std::string& u : cw.target_units) target_units.push_back(u);
-    crosswalks.push_back(std::move(cw));
-  }
-  for (std::vector<std::string>* units : {&source_units, &target_units}) {
-    std::sort(units->begin(), units->end());
-    units->erase(std::unique(units->begin(), units->end()), units->end());
-  }
-
-  // Re-index every crosswalk onto the unified universes (an index
-  // remap: values pass through untouched), freeing each as it goes.
-  core::CrosswalkInput input;
-  for (size_t k = 0; k < args.refs.size(); ++k) {
-    GEOALIGN_ASSIGN_OR_RETURN(
-        io::LoadedCrosswalk aligned,
-        io::RemapCrosswalk(crosswalks[k], source_units, target_units));
-    crosswalks[k] = io::LoadedCrosswalk();
-    input.references.push_back(
-        io::ReferenceFromCrosswalk(args.refs[k].first, aligned));
-  }
-
-  // Objective column.
-  GEOALIGN_ASSIGN_OR_RETURN(io::Table obj_table,
-                            io::ReadCsvFile(args.objective_path));
+  // Crosswalks and objective in one pass onto the unit universes.
   GEOALIGN_ASSIGN_OR_RETURN(
-      input.objective_source,
-      io::AggregatesFromTable(obj_table, "unit", "value", source_units));
-  GEOALIGN_RETURN_IF_ERROR(input.Validate());
+      io::CrosswalkSet set,
+      io::ReadCrosswalkSet(args.refs, args.objective_path));
+  const core::CrosswalkInput& input = set.input;
+  {
+    GEOALIGN_TRACE_SPAN("cli.validate");
+    GEOALIGN_RETURN_IF_ERROR(input.Validate());
+  }
 
   // Method selection.
   std::unique_ptr<core::Interpolator> method;
@@ -289,15 +265,19 @@ Result<int> Run(const CliArgs& args) {
     }
   }
 
-  io::Table out({"unit", "value"});
-  for (size_t j = 0; j < target_units.size(); ++j) {
-    GEOALIGN_RETURN_IF_ERROR(out.AppendRow(
-        {target_units[j], StrFormat("%.17g", result.target_estimates[j])}));
-  }
-  if (args.out_path.empty()) {
-    std::fputs(io::ToCsv(out).c_str(), stdout);
-  } else {
-    GEOALIGN_RETURN_IF_ERROR(io::WriteCsvFile(out, args.out_path));
+  {
+    GEOALIGN_TRACE_SPAN("cli.write_output");
+    io::Table out({"unit", "value"});
+    for (size_t j = 0; j < set.target_units.size(); ++j) {
+      GEOALIGN_RETURN_IF_ERROR(out.AppendRow(
+          {set.target_units[j],
+           StrFormat("%.17g", result.target_estimates[j])}));
+    }
+    if (args.out_path.empty()) {
+      std::fputs(io::ToCsv(out).c_str(), stdout);
+    } else {
+      GEOALIGN_RETURN_IF_ERROR(io::WriteCsvFile(out, args.out_path));
+    }
   }
 
   // Telemetry exports run last so they cover the whole crosswalk.
