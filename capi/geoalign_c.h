@@ -61,7 +61,8 @@ typedef struct geoalign_csr {
   const double* values;
 } geoalign_csr;
 
-/* One COO triplet; duplicate (row, col) pairs are summed. */
+/* One COO triplet; duplicate (row, col) pairs are summed from 0.0 in
+ * array order, and an exact-zero sum is dropped. */
 typedef struct geoalign_coo_entry {
   size_t row;
   size_t col;

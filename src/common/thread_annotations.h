@@ -67,10 +67,9 @@
   GEOALIGN_THREAD_ANNOTATION_ATTRIBUTE(acquired_after(__VA_ARGS__))
 
 /// Function precondition: the listed capabilities are held on entry
-/// and still held on exit. The `*Locked` private-helper idiom
-/// (e.g. PlanCache::EvictLocked) pairs the name suffix with this
-/// attribute so the contract is visible both to readers and the
-/// analysis.
+/// and still held on exit. The `*Locked` private-helper idiom pairs
+/// the name suffix with this attribute so the contract is visible both
+/// to readers and the analysis (CondVar::Wait below carries it too).
 #define GEOALIGN_REQUIRES(...) \
   GEOALIGN_THREAD_ANNOTATION_ATTRIBUTE(requires_capability(__VA_ARGS__))
 #define GEOALIGN_REQUIRES_SHARED(...)     \

@@ -291,7 +291,7 @@ Result<CrosswalkPlan> CrosswalkPlan::Compile(
 
   if (plan.options_.fallback_dm != nullptr) {
     // Snapshot the fallback DM so the plan owns everything it reads at
-    // Execute time; a cached plan must not dangle on caller memory.
+    // Execute time; a held plan must not dangle on caller memory.
     plan.fallback_dm_ = std::make_shared<const sparse::CsrMatrix>(
         *plan.options_.fallback_dm);
     plan.options_.fallback_dm = plan.fallback_dm_.get();
@@ -454,7 +454,7 @@ void CrosswalkPlan::ExecuteOnePanel(
   const uint64_t allocs_before = ws->alloc_events();
   // The ISA (and with it the preferred panel width) is an execute-time
   // property — nothing about it is baked into the plan or its
-  // fingerprint, so a plan cached under one ISA serves them all.
+  // fingerprint, so a plan compiled under one ISA serves them all.
   const sparse::simd::Isa isa = sparse::simd::ActiveIsa();
   ws->PreparePanel(workspace_spec_, count);
 

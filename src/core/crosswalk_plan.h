@@ -89,7 +89,8 @@ class CrosswalkPlan {
   /// DMs when they already share one structure) into plan-owned memory
   /// and charges the copy to `ingest.bytes_copied`. Same errors, and
   /// the same fingerprint for the same bytes, as the view Compile, so
-  /// PlanCache keys are ingest-path independent.
+  /// audit records and geoalign_plan_fingerprint are ingest-path
+  /// independent.
   static Result<CrosswalkPlan> Compile(
       const std::vector<ReferenceAttribute>& references,
       const GeoAlignOptions& options);
@@ -150,9 +151,10 @@ class CrosswalkPlan {
   /// The serving panel width (columns per ExecuteMany group) — derived
   /// at execute time from the active SIMD ISA: 8 for the scalar
   /// kernels, 16 for a vector ISA. Deliberately NOT part of the plan
-  /// or its fingerprint: a PlanCache entry compiled under one ISA must
+  /// or its fingerprint: a plan compiled under one ISA must carry the
+  /// same fingerprint (audit records, geoalign_plan_fingerprint) and
   /// execute identically under any other, so ExecuteMany asks the plan
-  /// at execute time instead of baking a width into cached state (no
+  /// at execute time instead of baking a width into plan state (no
   /// serving surface takes a caller width).
   size_t panel_width() const;
 
@@ -194,7 +196,8 @@ class CrosswalkPlan {
   const sparse::PreparedReferenceSet& references() const { return prepared_; }
 
   /// Content fingerprint of the prepared reference set (names,
-  /// aggregates, CSR arrays) — the reference half of a PlanCache key.
+  /// aggregates, CSR arrays). Read by the audit record of every
+  /// execute and by geoalign_plan_fingerprint.
   uint64_t fingerprint() const { return prepared_.fingerprint(); }
 
   /// Scratch sizing for ExecuteWorkspace, fixed at Compile time —

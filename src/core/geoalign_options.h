@@ -64,8 +64,8 @@ enum class ZeroRowFallback {
 
 /// What a plan execute must produce. An execute-time parameter of
 /// `CrosswalkPlan::Execute`/`ExecuteWith` (not a compile-time option,
-/// so it never affects plan-cache keys): the same compiled plan serves
-/// both shapes.
+/// so it never affects the plan fingerprint): the same compiled plan
+/// serves both shapes.
 enum class ExecuteOutput {
   /// Materialize the estimated DM̂_o (Eq. 14) and re-aggregate it —
   /// `CrosswalkResult::estimated_dm` is populated. Default; the only
@@ -94,8 +94,9 @@ struct GeoAlignOptions {
   const sparse::CsrMatrix* fallback_dm = nullptr;
   /// Worker threads for the per-call test oracle's row-chunked kernels
   /// (tests/oracles/): 0 = one per hardware thread, 1 = inline. Plans
-  /// ignore it — Compile does not read it and it is not part of a
-  /// PlanCache key; a plan execute always runs inline, and
+  /// ignore it — Compile does not read it and it is not part of the
+  /// plan fingerprint (audit records, geoalign_plan_fingerprint); a
+  /// plan execute always runs inline, and
   /// CrosswalkPlan::ExecuteMany fans out on the pool its caller passes.
   size_t threads = 0;
   /// Options forwarded to the simplex solver.

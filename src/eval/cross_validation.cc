@@ -48,22 +48,12 @@ Result<CvReport> RunCrossValidation(const synth::Universe& universe,
                               universe.MakeLeaveOneOutInput(t));
     GEOALIGN_RETURN_IF_ERROR(input.Validate());
 
-    // GeoAlign with all remaining references — through the compiled
-    // plan (cached across runs when options.plan_cache is supplied;
-    // bit-identical to the per-call path either way).
+    // GeoAlign with all remaining references, through a compiled plan.
     {
-      core::CrosswalkResult res;
-      if (options.plan_cache != nullptr) {
-        GEOALIGN_ASSIGN_OR_RETURN(
-            std::shared_ptr<const core::CrosswalkPlan> plan,
-            options.plan_cache->GetOrCompile(input.references,
-                                             options.geoalign_options));
-        GEOALIGN_ASSIGN_OR_RETURN(res, plan->Execute(input.objective_source));
-      } else {
-        GEOALIGN_ASSIGN_OR_RETURN(core::CrosswalkPlan plan,
-                                  geoalign.Compile(input));
-        GEOALIGN_ASSIGN_OR_RETURN(res, plan.Execute(input.objective_source));
-      }
+      GEOALIGN_ASSIGN_OR_RETURN(core::CrosswalkPlan plan,
+                                geoalign.Compile(input));
+      GEOALIGN_ASSIGN_OR_RETURN(core::CrosswalkResult res,
+                                plan.Execute(input.objective_source));
       CvCell cell;
       cell.dataset = test.name;
       cell.method = "GeoAlign";

@@ -7,7 +7,6 @@
 #include "core/areal_weighting.h"
 #include "core/dasymetric.h"
 #include "core/geoalign.h"
-#include "core/plan_cache.h"
 #include "synth/universe.h"
 
 namespace geoalign::eval {
@@ -50,15 +49,6 @@ struct CvOptions {
   bool run_regression = false;
   /// GeoAlign configuration.
   core::GeoAlignOptions geoalign_options;
-  /// Optional cache of compiled GeoAlign plans, keyed by reference-set
-  /// content + options. Each leave-one-out fold uses a distinct
-  /// reference subset, so within one run every fold misses once; the
-  /// payoff comes from repeated runs over the same universe (ablation
-  /// sweeps re-running folds, report generation). Not owned; may be
-  /// shared across concurrent runs (PlanCache is thread-safe). Null =
-  /// compile per fold without caching. Cached or not, results are
-  /// bit-identical.
-  core::PlanCache* plan_cache = nullptr;
 };
 
 /// Runs the paper's cross-validated accuracy protocol on `universe`:

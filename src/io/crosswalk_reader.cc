@@ -4,14 +4,12 @@
 #include <array>
 #include <functional>
 #include <limits>
-#include <numeric>
 
-#include "common/float_eq.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "io/csv.h"
 #include "obs/trace.h"
-#include "sparse/csr_matrix.h"
+#include "sparse/coo_builder.h"
 
 namespace geoalign::io {
 
@@ -198,73 +196,21 @@ Status CrosswalkSetReader::AddCrosswalk(std::string name,
   return Status::OK();
 }
 
-namespace {
-
-// Places `in` into `out` stably by key(e) in [0, buckets) and returns
-// the bucket starts (buckets + 1 entries).
-template <typename E, typename Key>
-std::vector<size_t> CountingSort(const std::vector<E>& in, size_t buckets,
-                                 Key key, std::vector<E>* out) {
-  std::vector<size_t> start(buckets + 1, 0);
-  for (const E& e : in) ++start[key(e) + 1];
-  std::partial_sum(start.begin(), start.end(), start.begin());
-  std::vector<size_t> next(start.begin(), start.end() - 1);
-  out->resize(in.size());
-  for (const E& e : in) (*out)[next[key(e)]++] = e;
-  return start;
-}
-
-}  // namespace
-
 CrosswalkSet CrosswalkSetReader::Build() {
   CrosswalkSet set;
   source_rank_ = sources_->Sort(&set.source_units);
   const std::vector<uint32_t> target_rank = targets_->Sort(&set.target_units);
-  const size_t rows = set.source_units.size();
-  const size_t cols = set.target_units.size();
-  std::vector<Entry> by_col;
+  sparse::CooBuilder dm(set.source_units.size(), set.target_units.size());
   for (Crosswalk& cw : crosswalks_) {
-    // Ids to universe indices, then counting sort by column and stably
-    // by row: rows ascending, columns ascending within a row, equal
-    // (row, col) entries in file order.
-    for (Entry& e : cw.entries) {
-      e.source = source_rank_[e.source];
-      e.target = target_rank[e.target];
+    // Added in file order, so duplicate (source,target) rows sum in
+    // file order.
+    for (const Entry& e : cw.entries) {
+      dm.Add(source_rank_[e.source], target_rank[e.target], e.value);
     }
-    CountingSort(cw.entries, cols, [](const Entry& e) { return e.target; },
-                 &by_col);
-    CountingSort(by_col, rows, [](const Entry& e) { return e.source; },
-                 &cw.entries);
-    // Sum equal entries from 0.0 in that order and drop exact-zero
-    // sums, as CooBuilder::Build does.
-    const std::vector<Entry>& sorted = cw.entries;
-    std::vector<size_t> row_ptr(rows + 1, 0);
-    std::vector<size_t> col_idx;
-    std::vector<double> values;
-    col_idx.reserve(sorted.size());
-    values.reserve(sorted.size());
-    for (size_t k = 0; k < sorted.size();) {
-      const Entry& first = sorted[k];
-      double sum = 0.0;
-      for (; k < sorted.size() && sorted[k].source == first.source &&
-             sorted[k].target == first.target;
-           ++k) {
-        sum += sorted[k].value;
-      }
-      if (ExactlyZero(sum)) continue;
-      ++row_ptr[first.source + 1];
-      col_idx.push_back(first.target);
-      values.push_back(sum);
-    }
-    std::partial_sum(row_ptr.begin(), row_ptr.end(), row_ptr.begin());
     cw.entries = {};
     core::ReferenceAttribute ref;
     ref.name = std::move(cw.name);
-    ref.disaggregation =
-        std::move(sparse::CsrMatrix::FromCsrArrays(
-                      rows, cols, std::move(row_ptr), std::move(col_idx),
-                      std::move(values)))
-            .ValueOrDie();
+    ref.disaggregation = dm.Build();
     ref.source_aggregates = ref.disaggregation.RowSums();
     set.input.references.push_back(std::move(ref));
   }

@@ -28,16 +28,14 @@ namespace geoalign::io {
 ///     source and of the target names of every crosswalk row, zero
 ///     rows included;
 ///   - duplicate (source,target) rows of one file are summed from 0.0
-///     in file order and exact-zero sums are dropped, as CooBuilder
-///     does (its std::sort keeps file order only up to 16 rows; past
-///     that, three or more duplicates may sum in another order there);
+///     in file order and exact-zero sums are dropped: each DM is built
+///     by CooBuilder, with rows added in file order;
 ///   - negative values are rejected; an objective unit that no
 ///     crosswalk names as a source is NotFound, duplicate objective
 ///     units sum in file order and missing ones are 0.
 ///
 /// Unit names are interned once across all files, so each distinct
-/// name is stored and sorted once, and each reference's DM is built
-/// by counting sort.
+/// name is stored and sorted once.
 struct CrosswalkSet {
   /// One reference per crosswalk, in the order added (its source
   /// aggregates are the DM row sums), and the objective over

@@ -166,9 +166,9 @@ struct MetricsSnapshot {
 /// and live forever at a stable address, so hot call sites pay the
 /// name lookup once:
 ///
-///   static obs::Counter& hits =
-///       obs::MetricsRegistry::Global().GetCounter("plan_cache.hits");
-///   hits.Add();
+///   static obs::Counter& solves =
+///       obs::MetricsRegistry::Global().GetCounter("solver.nnls.solves");
+///   solves.Add();
 ///
 /// Lookups take a mutex; increments on the returned objects are
 /// lock-free (see Counter/Gauge/Histogram). The metric name catalog

@@ -10,6 +10,9 @@ namespace geoalign::sparse {
 /// Accumulates (row, col, value) triplets and compiles them into a
 /// `CsrMatrix`. Duplicate coordinates are summed, matching the way
 /// overlays accumulate aggregates into disaggregation-matrix cells.
+/// This is the one COO -> CSR rule of the library: entries sorted by
+/// (row, col), duplicates summed from 0.0 in insertion order, exact-zero
+/// sums dropped.
 class CooBuilder {
  public:
   CooBuilder(size_t rows, size_t cols) : rows_(rows), cols_(cols) {}
@@ -21,8 +24,9 @@ class CooBuilder {
   /// Number of accumulated triplets (before deduplication).
   size_t triplet_count() const { return entries_.size(); }
 
-  /// Sorts, merges duplicates, drops exact zeros, and produces the CSR
-  /// matrix. The builder is left empty and reusable.
+  /// Sorts (stably, by counting), merges duplicates in insertion order,
+  /// drops exact-zero sums, and produces the CSR matrix in
+  /// O(triplets + rows + cols). The builder is left empty and reusable.
   CsrMatrix Build();
 
  private:

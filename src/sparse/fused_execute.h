@@ -158,8 +158,9 @@ struct FusedPanelInputs {
 /// and its numerator × 1/denominator are nonzero (the WeightedSum and
 /// DivideRowsOrZero prunes), with value (acc · inv) · row_scale; zero
 /// rows emit their scaled fallback row, if any; a lane with a zero row
-/// under a fallback DM drops every exact zero (CooBuilder::Build's
-/// rule for the rebuilt matrix).
+/// under a fallback DM drops every exact zero (the test oracle
+/// rebuilds such a lane through CooBuilder, whose COO -> CSR rule drops
+/// exact-zero sums).
 Status FusedAggregatesPanel(const FusedPanelInputs& in,
                             const FusedWorkspace::Spec& spec, simd::Isa isa,
                             linalg::Vector* const* target_estimates,

@@ -10,6 +10,42 @@ namespace geoalign::sparse {
 
 namespace {
 
+// Incremental 64-bit FNV-1a hash of the reference-set fingerprint.
+// Spans (vectors convert implicitly) hash the same byte sequence
+// whichever ingest path produced the data, so the fingerprint does not
+// depend on whether the arrays are owned or borrowed.
+class Fnv1a {
+ public:
+  void MixBytes(const void* data, size_t bytes) {
+    const unsigned char* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < bytes; ++i) {
+      state_ ^= p[i];
+      state_ *= 0x100000001b3ull;
+    }
+  }
+  void MixSize(size_t v) {
+    const uint64_t word = static_cast<uint64_t>(v);
+    MixBytes(&word, sizeof(word));
+  }
+  void MixDoubles(common::ConstSpan<double> v) {
+    MixSize(v.size());
+    MixBytes(v.data(), v.size() * sizeof(double));
+  }
+  void MixSizes(common::ConstSpan<size_t> v) {
+    MixSize(v.size());
+    MixBytes(v.data(), v.size() * sizeof(size_t));
+  }
+  void MixString(const std::string& s) {
+    MixSize(s.size());
+    MixBytes(s.data(), s.size());
+  }
+
+  uint64_t value() const { return state_; }
+
+ private:
+  uint64_t state_ = 0xcbf29ce484222325ull;
+};
+
 // The union execute structure of an unaligned reference set, and every
 // reference's values scattered onto it (reference k's array is
 // values[k * nnz, (k + 1) * nnz)). Shared by all prepared DMs through

@@ -2,7 +2,6 @@
 #define GEOALIGN_SPARSE_PREPARED_REFERENCE_H_
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,52 +12,6 @@
 #include "sparse/csr_matrix.h"
 
 namespace geoalign::sparse {
-
-/// Incremental 64-bit FNV-1a hash used to fingerprint prepared
-/// reference sets (and, in core::PlanCache, option structs). Two
-/// instances seeded differently give an effectively 128-bit key.
-class Fnv1a {
- public:
-  static constexpr uint64_t kDefaultSeed = 0xcbf29ce484222325ull;
-
-  explicit Fnv1a(uint64_t seed = kDefaultSeed) : state_(seed) {}
-
-  void MixBytes(const void* data, size_t bytes) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-      state_ ^= p[i];
-      state_ *= 0x100000001b3ull;
-    }
-  }
-  void MixU64(uint64_t v) { MixBytes(&v, sizeof(v)); }
-  void MixSize(size_t v) { MixU64(static_cast<uint64_t>(v)); }
-  void MixDouble(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    MixU64(bits);
-  }
-  // Span parameters (vectors convert implicitly): the mixed byte
-  // sequence is identical whichever ingest path produced the data, so
-  // fingerprints — and therefore PlanCache keys — do not depend on
-  // whether the arrays are owned or borrowed.
-  void MixDoubles(common::ConstSpan<double> v) {
-    MixSize(v.size());
-    MixBytes(v.data(), v.size() * sizeof(double));
-  }
-  void MixSizes(common::ConstSpan<size_t> v) {
-    MixSize(v.size());
-    MixBytes(v.data(), v.size() * sizeof(size_t));
-  }
-  void MixString(const std::string& s) {
-    MixSize(s.size());
-    MixBytes(s.data(), s.size());
-  }
-
-  uint64_t value() const { return state_; }
-
- private:
-  uint64_t state_;
-};
 
 /// Raw per-reference inputs to PreparedReferenceSet::Prepare: one
 /// reference attribute α_r as the core layer sees it, without any core
@@ -186,8 +139,8 @@ class PreparedReferenceSet {
   bool aligned() const { return true; }
 
   /// Content fingerprint (names, aggregates, CSR arrays as the caller
-  /// passed them, before any union scatter) — the reference-set half of
-  /// a PlanCache key.
+  /// passed them, before any union scatter). Read by the plan's audit
+  /// record and by geoalign_plan_fingerprint.
   uint64_t fingerprint() const { return fingerprint_; }
 
  private:

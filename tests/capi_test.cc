@@ -163,6 +163,88 @@ TEST(CapiTest, CooIngestMatchesCsrIngestExactly) {
   geoalign_plan_destroy(coo_plan);
 }
 
+TEST(CapiTest, CooDuplicatesSumInInsertionOrderPastSeventeenTriplets) {
+  // A 6 x 4 COO reference: 23 distinct cells in scrambled order, then
+  // cell (2, 1) three times as the 18th, 22nd and 26th triplet. It must
+  // compile to the fingerprint and estimates of the CSR reference whose
+  // (2, 1) entry is 0.1, 0.2 and 0.3 summed from 0.0 in that order.
+  constexpr size_t kRows = 6, kCols = 4, kRepeated = 2 * kCols + 1;
+  const double repeats[] = {0.1, 0.2, 0.3};
+  const double in_order = ((0.0 + 0.1) + 0.2) + 0.3;
+  ASSERT_NE(in_order, ((0.0 + 0.3) + 0.2) + 0.1);
+  auto value_of = [](size_t cell) {
+    return 1.0 + 0.25 * static_cast<double>(cell);
+  };
+  std::vector<geoalign_coo_entry> coo;
+  for (size_t i = 0; i < kRows * kCols; ++i) {
+    const size_t cell = i * 5 % (kRows * kCols);
+    if (cell == kRepeated) continue;
+    coo.push_back({cell / kCols, cell % kCols, value_of(cell)});
+  }
+  for (size_t k = 0; k < 3; ++k) {
+    coo.insert(coo.begin() + 17 + 4 * k,
+               {kRepeated / kCols, kRepeated % kCols, repeats[k]});
+  }
+  ASSERT_EQ(coo.size(), 26u);
+
+  std::vector<size_t> row_ptr = {0};
+  std::vector<size_t> col_idx;
+  std::vector<double> values;
+  for (size_t cell = 0; cell < kRows * kCols; ++cell) {
+    col_idx.push_back(cell % kCols);
+    values.push_back(cell == kRepeated ? in_order : value_of(cell));
+    if (cell % kCols == kCols - 1) row_ptr.push_back(col_idx.size());
+  }
+  std::vector<double> agg(kRows, 0.0);
+  for (size_t r = 0; r < kRows; ++r) {
+    for (size_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i) agg[r] += values[i];
+  }
+  // A second, fixed reference so the weights are learned, not trivial.
+  std::vector<double> values_b(values.size());
+  for (size_t i = 0; i < values_b.size(); ++i) {
+    values_b[i] = 1.0 + static_cast<double>(i % 3);
+  }
+  std::vector<double> agg_b(kRows, 0.0);
+  for (size_t r = 0; r < kRows; ++r) {
+    for (size_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
+      agg_b[r] += values_b[i];
+    }
+  }
+  const geoalign_csr csr_a = {kRows, kCols, row_ptr.data(), col_idx.data(),
+                              values.data()};
+  const geoalign_csr csr_b = {kRows, kCols, row_ptr.data(), col_idx.data(),
+                              values_b.data()};
+  geoalign_reference csr_refs[2] = {CsrRef("a", agg, &csr_a),
+                                    CsrRef("b", agg_b, &csr_b)};
+  geoalign_reference coo_refs[2] = {CsrRef("a", agg, nullptr),
+                                    CsrRef("b", agg_b, &csr_b)};
+  coo_refs[0].coo = coo.data();
+  coo_refs[0].coo_count = coo.size();
+  coo_refs[0].coo_rows = kRows;
+  coo_refs[0].coo_cols = kCols;
+  geoalign_plan* csr_plan = nullptr;
+  geoalign_plan* coo_plan = nullptr;
+  ASSERT_EQ(geoalign_plan_compile(csr_refs, 2, &csr_plan), GEOALIGN_OK)
+      << geoalign_error_message();
+  ASSERT_EQ(geoalign_plan_compile(coo_refs, 2, &coo_plan), GEOALIGN_OK)
+      << geoalign_error_message();
+  EXPECT_EQ(geoalign_plan_fingerprint(coo_plan),
+            geoalign_plan_fingerprint(csr_plan));
+
+  const std::vector<double> objective = {5.0, 1.0, 7.0, 2.0, 3.0, 4.0};
+  double t_csr[kCols], t_coo[kCols], w_csr[2], w_coo[2];
+  ASSERT_EQ(geoalign_plan_execute(csr_plan, objective.data(), kRows, t_csr,
+                                  w_csr),
+            GEOALIGN_OK);
+  ASSERT_EQ(geoalign_plan_execute(coo_plan, objective.data(), kRows, t_coo,
+                                  w_coo),
+            GEOALIGN_OK);
+  EXPECT_EQ(0, std::memcmp(t_csr, t_coo, sizeof(t_csr)));
+  EXPECT_EQ(0, std::memcmp(w_csr, w_coo, sizeof(w_csr)));
+  geoalign_plan_destroy(csr_plan);
+  geoalign_plan_destroy(coo_plan);
+}
+
 TEST(CapiTest, CompileErrorsAreReported) {
   CWorld w;
   geoalign_plan* plan = nullptr;

@@ -152,10 +152,7 @@ Result<io::CrosswalkSet> TablePath(
 
 // Edits biased toward the CSV and number rules: structural characters,
 // line ends, header names, signs, subnormals, non-finite values and
-// duplicated records. Each of the one or two edits adds at most one
-// record, so a file stays far below the 17 entries where CooBuilder's
-// std::sort stops being an insertion sort; below that, the Table path
-// also sums duplicate rows in file order.
+// duplicated records.
 std::string MutateCsv(std::string text, Rng& rng) {
   static const char* const kTokens[] = {
       ",",     "\"",     "\"\"",   "\r\n",   "\n",     "\r",    "\n\n",
@@ -190,6 +187,24 @@ std::string MutateCsv(std::string text, Rng& rng) {
   return text;
 }
 
+// 40 rows, where "e,w" repeats at rows 3, 19 and 36 with values whose
+// sum depends on the order, and pairs 35 rows apart repeat too: both
+// paths must sum duplicates in file order however long the file is.
+std::string LongCrosswalk() {
+  static const char* const kRepeats[] = {"0.1", "0.2", "0.3"};
+  std::string csv = "source,target,value\n";
+  size_t repeat = 0;
+  for (size_t row = 0; row < 40; ++row) {
+    if (row == 3 || row == 19 || row == 36) {
+      csv += StrFormat("e,w,%s\n", kRepeats[repeat++]);
+    } else {
+      csv += StrFormat("s%zu,t%zu,%zu.%zu\n", row % 7, row % 5, row + 1,
+                       row % 3);
+    }
+  }
+  return csv;
+}
+
 TEST(Fuzz, CrosswalkSetReaderMatchesTablePath) {
   Rng rng(105);
   // b,x repeats three times with values whose sum depends on the order.
@@ -198,19 +213,22 @@ TEST(Fuzz, CrosswalkSetReaderMatchesTablePath) {
       "c,\"y,1\",3\nb,x,0.3\n";
   const std::string cw_b =
       "target,value,source,note\nx,4,a,n\n\"y,1\",0.125,d,\"m\"\"\"\nz,0,c,\n";
+  const std::string cw_c = LongCrosswalk();
   const std::string objective = "unit,value\na,1\nb,2\nd,0.5\nb,3\n";
   size_t both_ok = 0, mutated_ok = 0;
   for (int i = 0; i < 2000; ++i) {
     std::vector<std::pair<std::string, std::string>> crosswalks = {
         {"a", rng.Bernoulli(0.75) ? MutateCsv(cw_a, rng) : cw_a},
-        {"b", rng.Bernoulli(0.75) ? MutateCsv(cw_b, rng) : cw_b}};
+        {"b", rng.Bernoulli(0.75) ? MutateCsv(cw_b, rng) : cw_b},
+        {"c", rng.Bernoulli(0.5) ? MutateCsv(cw_c, rng) : cw_c}};
     const std::string obj =
         rng.Bernoulli(0.5) ? MutateCsv(objective, rng) : objective;
     Result<io::CrosswalkSet> got = ParseSet(crosswalks, obj);
     Result<io::CrosswalkSet> want = TablePath(crosswalks, obj);
     const std::string where = "case " + std::to_string(i) + ":\n" +
                               crosswalks[0].second + "--\n" +
-                              crosswalks[1].second + "--\n" + obj;
+                              crosswalks[1].second + "--\n" +
+                              crosswalks[2].second + "--\n" + obj;
     ASSERT_EQ(got.ok(), want.ok())
         << where << "\nreader: " << got.status().ToString()
         << "\ntable path: " << want.status().ToString();
@@ -220,7 +238,7 @@ TEST(Fuzz, CrosswalkSetReaderMatchesTablePath) {
     }
     ++both_ok;
     if (crosswalks[0].second != cw_a || crosswalks[1].second != cw_b ||
-        obj != objective) {
+        crosswalks[2].second != cw_c || obj != objective) {
       ++mutated_ok;
     }
     EXPECT_EQ(got->source_units, want->source_units) << where;

@@ -7,9 +7,9 @@
 // (ExecuteOutput::kAggregatesOnly through a reused ExecuteWorkspace)
 // and the SIMD column-panel lane (ExecutePanelWith, every lane of a
 // replicated panel) must carry the same bits while never materializing
-// DM̂_o. Also covers plan reuse/immutability, the PlanCache (including
-// forced-ISA independence of cached plans), the pipeline serving path,
-// and many-column batches through ExecuteMany.
+// DM̂_o. Also covers plan reuse/immutability, forced-ISA independence
+// of a plan's fingerprint and bits, the pipeline serving path, and
+// many-column batches through ExecuteMany.
 
 #include <gtest/gtest.h>
 
@@ -25,8 +25,6 @@
 #include "common/thread_pool.h"
 #include "core/geoalign.h"
 #include "core/pipeline.h"
-#include "core/plan_cache.h"
-#include "eval/cross_validation.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "oracles/crosswalk_uncompiled.h"
@@ -396,7 +394,8 @@ TEST(PlanEquivalenceTest, FusedLaneRunsOnAlignedWorld) {
 
 TEST(PlanEquivalenceTest, WorldFingerprintIsPinned) {
   // The fingerprint hashes the caller's arrays before any union
-  // scatter, so PlanCache keys did not move when the union structure
+  // scatter, so the value read by audit records and
+  // geoalign_plan_fingerprint did not move when the union structure
   // arrived. The literal was computed before the union existed.
   auto plan = std::move(core::CrosswalkPlan::Compile(MakeWorldInput(),
                                                      core::GeoAlignOptions{}))
@@ -652,100 +651,6 @@ TEST(PlanEquivalenceTest, PlanIsReusableAndOutlivesInput) {
   }
 }
 
-TEST(PlanEquivalenceTest, PlanCacheHitsMissesEviction) {
-  core::CrosswalkInput input = MakeWorldInput();
-  core::GeoAlignOptions opts;
-  opts.threads = 1;
-
-  core::PlanCache cache(2);
-  auto p1 = std::move(cache.GetOrCompile(input.references, opts)).ValueOrDie();
-  auto p2 = std::move(cache.GetOrCompile(input.references, opts)).ValueOrDie();
-  EXPECT_EQ(p1.get(), p2.get()) << "equal inputs must share one plan";
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  // threads is excluded from the key: results are bit-identical across
-  // thread counts, so the plan is shared.
-  core::GeoAlignOptions threaded = opts;
-  threaded.threads = 4;
-  auto p3 =
-      std::move(cache.GetOrCompile(input.references, threaded)).ValueOrDie();
-  EXPECT_EQ(p1.get(), p3.get());
-  EXPECT_EQ(cache.stats().hits, 2u);
-
-  // A semantic option change is a different key.
-  core::GeoAlignOptions uniform = opts;
-  uniform.solver = core::WeightSolver::kUniform;
-  auto p4 =
-      std::move(cache.GetOrCompile(input.references, uniform)).ValueOrDie();
-  EXPECT_NE(p1.get(), p4.get());
-  EXPECT_EQ(cache.stats().misses, 2u);
-
-  // Third distinct key in a capacity-2 cache evicts the LRU entry; the
-  // caller-held shared_ptr stays valid.
-  core::GeoAlignOptions raw = opts;
-  raw.scale_mode = core::ScaleMode::kRaw;
-  auto p5 = std::move(cache.GetOrCompile(input.references, raw)).ValueOrDie();
-  EXPECT_EQ(cache.stats().misses, 3u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.size(), 2u);
-  auto via_evicted =
-      std::move(p1->Execute(input.objective_source)).ValueOrDie();
-  auto want = std::move(core::CrosswalkUncompiled(input, opts)).ValueOrDie();
-  ExpectBitIdentical(via_evicted, want);
-
-  // Reference-content changes are part of the key.
-  core::CrosswalkInput other = input;
-  other.references[0].source_aggregates[0] *= 2.0;
-  auto p6 = std::move(cache.GetOrCompile(other.references, opts)).ValueOrDie();
-  EXPECT_NE(p5.get(), p6.get());
-
-  // capacity == 0 disables caching entirely.
-  core::PlanCache none(0);
-  auto n1 = std::move(none.GetOrCompile(input.references, opts)).ValueOrDie();
-  auto n2 = std::move(none.GetOrCompile(input.references, opts)).ValueOrDie();
-  EXPECT_NE(n1.get(), n2.get());
-  EXPECT_EQ(none.stats().hits, 0u);
-  EXPECT_EQ(none.stats().misses, 2u);
-  EXPECT_EQ(none.size(), 0u);
-}
-
-TEST(PlanEquivalenceTest, CrossValidationWithPlanCacheBitIdentical) {
-  // The first PlanCache consumer: a cached cross-validation run must
-  // reproduce the uncached report bit-for-bit, and a second run over
-  // the same universe must hit every fold's plan.
-  synth::Universe universe = MakeWorldUniverse();
-  eval::CvOptions options;
-  options.dasymetric_references.clear();
-  options.run_areal_weighting = false;
-  options.geoalign_options.threads = 1;
-  auto base = std::move(eval::RunCrossValidation(universe, options))
-                  .ValueOrDie();
-
-  core::PlanCache cache(32);
-  options.plan_cache = &cache;
-  auto cached = std::move(eval::RunCrossValidation(universe, options))
-                    .ValueOrDie();
-  size_t first_run_misses = cache.stats().misses;
-  EXPECT_EQ(first_run_misses, universe.datasets.size())
-      << "each leave-one-out fold is a distinct reference subset";
-  auto rerun = std::move(eval::RunCrossValidation(universe, options))
-                   .ValueOrDie();
-  EXPECT_EQ(cache.stats().misses, first_run_misses)
-      << "the second run must be served entirely from the cache";
-  EXPECT_EQ(cache.stats().hits, universe.datasets.size());
-
-  for (const auto* report : {&cached, &rerun}) {
-    ASSERT_EQ(report->cells.size(), base.cells.size());
-    for (size_t i = 0; i < base.cells.size(); ++i) {
-      EXPECT_EQ(report->cells[i].dataset, base.cells[i].dataset);
-      EXPECT_EQ(report->cells[i].method, base.cells[i].method);
-      EXPECT_EQ(report->cells[i].nrmse, base.cells[i].nrmse);
-      EXPECT_EQ(report->cells[i].rmse, base.cells[i].rmse);
-    }
-  }
-}
-
 std::vector<std::string> MakeUnitNames(const char* prefix, size_t n) {
   std::vector<std::string> names;
   names.reserve(n);
@@ -945,21 +850,20 @@ TEST(PlanEquivalenceTest, PanelLaneServesWithZeroHotPathAllocs) {
   obs::SetEnabled(saved_enabled);
 }
 
-TEST(PlanEquivalenceTest, CachedPlanExecutesIdenticallyAcrossForcedIsas) {
+TEST(PlanEquivalenceTest, PlanExecutesIdenticallyAcrossForcedIsas) {
   // Satellite of the SIMD dispatch: the panel width is an execute-time
   // property derived from the active ISA, NEVER part of the plan or
-  // its fingerprint — so one PlanCache entry must serve every ISA with
-  // identical bits. ScopedForceIsa is the in-process form of
-  // GEOALIGN_FORCE_ISA (tools/ci.sh runs the whole suite under the env
-  // form too).
+  // its fingerprint — so a plan compiled under any ISA carries the same
+  // fingerprint and serves every ISA with identical bits.
+  // ScopedForceIsa is the in-process form of GEOALIGN_FORCE_ISA
+  // (tools/ci.sh runs the whole suite under the env form too).
   core::CrosswalkInput input = MakeAlignedDenseInput();
   core::GeoAlignOptions opts;
   opts.threads = 1;
-  core::PlanCache cache(4);
-  auto plan = std::move(cache.GetOrCompile(input.references, opts))
+  auto plan = std::move(core::CrosswalkPlan::Compile(input.references, opts))
                   .ValueOrDie();
-  ASSERT_TRUE(plan->references().aligned());
-  const uint64_t fingerprint = plan->fingerprint();
+  ASSERT_TRUE(plan.references().aligned());
+  const uint64_t fingerprint = plan.fingerprint();
 
   // Three distinct objectives so the panel has real lane diversity.
   std::vector<linalg::Vector> objectives;
@@ -975,15 +879,16 @@ TEST(PlanEquivalenceTest, CachedPlanExecutesIdenticallyAcrossForcedIsas) {
 
   auto run_panel = [&](sparse::simd::Isa isa) {
     sparse::simd::ScopedForceIsa force(isa);
-    // The cache key must not see the ISA: a lookup under any forced
-    // ISA hits the same entry.
-    auto again = std::move(cache.GetOrCompile(input.references, opts))
+    // The fingerprint must not see the ISA: a compile under any forced
+    // ISA gives the same value.
+    auto again = std::move(core::CrosswalkPlan::Compile(input.references,
+                                                        opts))
                      .ValueOrDie();
-    EXPECT_EQ(again.get(), plan.get())
-        << "forcing an ISA must not change the PlanCache key";
-    EXPECT_EQ(plan->fingerprint(), fingerprint);
-    EXPECT_GE(plan->panel_width(), 1u);
-    EXPECT_LE(plan->panel_width(), sparse::simd::kMaxPanelWidth);
+    EXPECT_EQ(again.fingerprint(), fingerprint)
+        << "forcing an ISA must not change the plan fingerprint";
+    EXPECT_EQ(plan.fingerprint(), fingerprint);
+    EXPECT_GE(plan.panel_width(), 1u);
+    EXPECT_LE(plan.panel_width(), sparse::simd::kMaxPanelWidth);
 
     common::ColumnView objs[3];
     std::optional<Result<core::CrosswalkResult>> slots[3];
@@ -992,7 +897,7 @@ TEST(PlanEquivalenceTest, CachedPlanExecutesIdenticallyAcrossForcedIsas) {
       objs[p] = objectives[p];
       slot_ptrs[p] = &slots[p];
     }
-    plan->ExecutePanelWith(objs, slot_ptrs, 3, nullptr);
+    plan.ExecutePanelWith(objs, slot_ptrs, 3, nullptr);
     std::vector<core::CrosswalkResult> out;
     for (auto& slot : slots) {
       out.push_back(std::move(*slot).ValueOrDie());

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "common/random.h"
 #include "oracles/sparse_oracle.h"
 #include "sparse/coo_builder.h"
@@ -58,6 +65,47 @@ TEST(CooBuilder, ReusableAfterBuild) {
   b.Add(0, 0, 7.0);
   CsrMatrix second = b.Build();
   EXPECT_DOUBLE_EQ(second.At(0, 0), 7.0);
+}
+
+TEST(CooBuilder, SumsDuplicatesInInsertionOrderAtAnySize) {
+  // 0.1, 0.2 and 0.3 at (0, 0) sum to different bits in different
+  // orders; they sit among n other triplets (themselves with repeats)
+  // at the start, the middle and the end. Every cell must hold its
+  // values summed from 0.0 in insertion order, whatever n is.
+  const double in_order = ((0.0 + 0.1) + 0.2) + 0.3;
+  ASSERT_NE(in_order, ((0.0 + 0.3) + 0.2) + 0.1);
+  Rng rng(17);
+  for (size_t n = 0; n <= 64; ++n) {
+    SCOPED_TRACE(n);
+    std::vector<std::tuple<size_t, size_t, double>> triplets;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t r = rng.UniformInt(uint64_t{6});
+      const size_t c = 1 + rng.UniformInt(uint64_t{5});
+      triplets.emplace_back(r, c, rng.Uniform(0.1, 1.0));
+    }
+    triplets.insert(triplets.begin(), {0, 0, 0.1});
+    triplets.insert(triplets.begin() + (n + 1) / 2 + 1, {0, 0, 0.2});
+    triplets.emplace_back(0, 0, 0.3);
+
+    CooBuilder b(6, 6);
+    std::map<std::pair<size_t, size_t>, double> want;
+    for (const auto& [r, c, v] : triplets) {
+      b.Add(r, c, v);
+      want[{r, c}] += v;
+    }
+    CsrMatrix m = b.Build();
+    ASSERT_EQ(m.nnz(), want.size());
+    auto it = want.begin();
+    for (size_t r = 0; r < m.rows(); ++r) {
+      for (size_t i = m.row_ptr()[r]; i < m.row_ptr()[r + 1]; ++i, ++it) {
+        EXPECT_EQ(it->first, std::make_pair(r, m.col_idx()[i]));
+        EXPECT_EQ(std::bit_cast<uint64_t>(m.values()[i]),
+                  std::bit_cast<uint64_t>(it->second));
+      }
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(m.At(0, 0)),
+              std::bit_cast<uint64_t>(in_order));
+  }
 }
 
 TEST(CsrMatrix, FromCsrArraysValidates) {

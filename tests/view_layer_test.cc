@@ -193,8 +193,9 @@ TEST(ZeroCopyCompileTest, BothPathsAreBitIdentical) {
   auto viewed = std::move(core::CrosswalkPlan::Compile(
                               w.Borrowing(), core::GeoAlignOptions{}))
                     .ValueOrDie();
-  // Same bytes -> same fingerprint (PlanCache keys are ingest-path
-  // independent), same results bit-for-bit.
+  // Same bytes -> same fingerprint (audit records and
+  // geoalign_plan_fingerprint are ingest-path independent), same
+  // results bit-for-bit.
   EXPECT_EQ(owning.fingerprint(), viewed.fingerprint());
   auto r1 = std::move(owning.Execute(w.objective)).ValueOrDie();
   auto r2 = std::move(viewed.Execute(w.objective)).ValueOrDie();

@@ -33,12 +33,11 @@ documented in docs/static_analysis.md:
       No calls to the recompile-per-call crosswalk entry point
       (`*.Crosswalk(...)`) inside the serving hot paths
       (src/core/pipeline.*, src/eval/). Since the compile/execute
-      split these paths must go through a compiled CrosswalkPlan
-      (optionally via PlanCache) so objective-independent work is
-      hoisted once; a per-call Crosswalk silently recompiles
-      everything per objective. Legitimate uses —
-      baseline interpolators without a plan form, freshly perturbed
-      references — carry a NOLINT with a rationale.
+      split these paths must compile a CrosswalkPlan and Execute it
+      so objective-independent work is hoisted once; a per-call
+      Crosswalk silently recompiles everything per objective.
+      Legitimate uses — baseline interpolators without a plan form,
+      freshly perturbed references — carry a NOLINT with a rationale.
 
   geoalign-raw-clock
       No raw `std::chrono::*_clock::now()` in library code (src/)
@@ -393,8 +392,8 @@ class Linter:
             self.report(
                 path, line_of(m.start(), stripped), "geoalign-plan-bypass",
                 "legacy recompile-per-call crosswalk entry point in a "
-                "serving hot path; compile a CrosswalkPlan (or use "
-                "PlanCache) and Execute it, or NOLINT with a rationale",
+                "serving hot path; compile a CrosswalkPlan and Execute "
+                "it, or NOLINT with a rationale",
                 raw_lines)
 
     def check_raw_clock(self, path, stripped, raw_lines):
